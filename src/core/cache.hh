@@ -106,8 +106,8 @@ class RunCache
          * (truncated write observed mid-read by another process,
          * checksum mismatch, foreign schema). The caller re-simulates
          * and store() atomically rewrites the entry, so a corrupt
-         * artifact heals on the next touch — the fabric relies on
-         * this to share one artifact plane between processes.
+         * artifact heals on the next touch — what lets concurrent
+         * `run_all --shard` processes share one cache directory.
          */
         std::uint64_t corruptMisses = 0;
     };

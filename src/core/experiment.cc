@@ -57,17 +57,25 @@ RunResult::gcFraction() const
     return sim::ticksToSeconds(gcPause) / total;
 }
 
+sim::MachineConfig
+machineConfig(const ExperimentSpec &spec)
+{
+    sim::MachineConfig m = spec.sys.machine;
+    m.totalCpus = spec.totalCpus;
+    m.appCpus = spec.appCpus;
+    m.cpusPerL2 = spec.cpusPerL2;
+    m.protocol = spec.protocol;
+    m.numaNodes = spec.numaNodes;
+    m.topology = spec.topology;
+    m.dirOccupancy = spec.dirOccupancy;
+    return m;
+}
+
 std::unique_ptr<System>
 buildSystem(const ExperimentSpec &spec, BuiltWorkload &out)
 {
     SystemConfig cfg = spec.sys;
-    cfg.machine.totalCpus = spec.totalCpus;
-    cfg.machine.appCpus = spec.appCpus;
-    cfg.machine.cpusPerL2 = spec.cpusPerL2;
-    cfg.machine.protocol = spec.protocol;
-    cfg.machine.numaNodes = spec.numaNodes;
-    cfg.machine.topology = spec.topology;
-    cfg.machine.dirOccupancy = spec.dirOccupancy;
+    cfg.machine = machineConfig(spec);
 
     auto system = std::make_unique<System>(cfg, spec.seed);
     if (check::checkingEnabled())

@@ -131,6 +131,10 @@ struct BuiltWorkload
     std::unique_ptr<workload::EcperfServer> ecperf;
 };
 
+/** The machine a spec runs on: spec.sys.machine with the spec's
+ *  geometry and protocol fields applied. */
+sim::MachineConfig machineConfig(const ExperimentSpec &spec);
+
 /** Construct a System and its workload threads from a spec. */
 std::unique_ptr<System> buildSystem(const ExperimentSpec &spec,
                                     BuiltWorkload &out);

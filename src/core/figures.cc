@@ -10,6 +10,7 @@
 #include "core/paper.hh"
 #include "mem/sweep.hh"
 #include "sim/log.hh"
+#include "sim/parse.hh"
 
 namespace middlesim::core
 {
@@ -66,49 +67,60 @@ scalingSpec(WorkloadKind kind, unsigned cpus, const FigureOptions &opt)
     return spec;
 }
 
+/** The variable's value, or nullptr when it is unset or empty. */
+const char *
+envValue(const char *name)
+{
+    const char *v = std::getenv(name);
+    return v && *v != '\0' ? v : nullptr;
+}
+
 } // namespace
 
 FigureOptions
 FigureOptions::fromEnv()
 {
     FigureOptions opt;
-    if (const char *runs = std::getenv("MIDDLESIM_RUNS"))
-        opt.runs = static_cast<unsigned>(std::atoi(runs));
-    if (const char *quick = std::getenv("MIDDLESIM_QUICK")) {
-        if (std::atoi(quick) != 0) {
+    if (const char *runs = envValue("MIDDLESIM_RUNS"))
+        opt.runs = sim::parseUnsigned("MIDDLESIM_RUNS", runs, 1, kMaxRuns);
+    if (const char *quick = envValue("MIDDLESIM_QUICK")) {
+        if (sim::parseUnsigned("MIDDLESIM_QUICK", quick, 0, 1) != 0) {
             opt.runs = 1;
             opt.timeScale = 0.5;
         }
     }
-    if (const char *ts = std::getenv("MIDDLESIM_TIMESCALE")) {
-        const double v = std::atof(ts);
-        if (v > 0.0)
-            opt.timeScale = v;
+    if (const char *ts = envValue("MIDDLESIM_TIMESCALE")) {
+        opt.timeScale =
+            sim::parsePositive("MIDDLESIM_TIMESCALE", ts, kMaxTimeScale);
     }
-    if (const char *proto = std::getenv("MIDDLESIM_PROTOCOL")) {
-        if (*proto != '\0' &&
-            !sim::parseProtocol(proto, opt.protocol))
+    if (const char *proto = envValue("MIDDLESIM_PROTOCOL")) {
+        if (!sim::parseProtocol(proto, opt.protocol))
             fatal("MIDDLESIM_PROTOCOL: unknown protocol '", proto,
                   "' (want snoop or directory)");
     }
-    if (const char *nodes = std::getenv("MIDDLESIM_NUMA_NODES")) {
-        const int v = std::atoi(nodes);
-        if (v >= 1)
-            opt.numaNodes = static_cast<unsigned>(v);
+    if (const char *nodes = envValue("MIDDLESIM_NUMA_NODES")) {
+        opt.numaNodes = sim::parseUnsigned("MIDDLESIM_NUMA_NODES", nodes,
+                                           1, kMaxNumaNodes);
     }
-    if (const char *topo = std::getenv("MIDDLESIM_TOPOLOGY")) {
-        if (*topo != '\0' && !sim::parseTopology(topo, opt.topology))
+    if (const char *topo = envValue("MIDDLESIM_TOPOLOGY")) {
+        if (!sim::parseTopology(topo, opt.topology))
             fatal("MIDDLESIM_TOPOLOGY: unknown topology '", topo,
                   "' (want ring or mesh)");
     }
-    if (const char *occ = std::getenv("MIDDLESIM_DIR_OCCUPANCY")) {
-        const int v = std::atoi(occ);
-        if (v >= 0)
-            opt.dirOccupancy = static_cast<unsigned>(v);
+    if (const char *occ = envValue("MIDDLESIM_DIR_OCCUPANCY")) {
+        opt.dirOccupancy = sim::parseUnsigned("MIDDLESIM_DIR_OCCUPANCY",
+                                              occ, 0, kMaxDirOccupancy);
     }
-    if (opt.runs == 0)
-        opt.runs = 1;
     return opt;
+}
+
+void
+FigureOptions::validate() const
+{
+    // Every figure point runs on the paper's machine with these
+    // options applied; checking it here reports a conflict once,
+    // instead of once per pool thread that builds a System.
+    machineConfig(scalingSpec(WorkloadKind::SpecJbb, 1, *this)).validate();
 }
 
 namespace

@@ -42,13 +42,28 @@ struct FigureOptions
     /** Home occupancy slots (0 = contention-free directory homes). */
     unsigned dirOccupancy = 0;
 
+    /** Upper bounds of the numeric knobs (flags and environment). */
+    static constexpr unsigned kMaxRuns = 1000;
+    static constexpr double kMaxTimeScale = 1000.0;
+    static constexpr unsigned kMaxNumaNodes = 1024;
+    static constexpr unsigned kMaxDirOccupancy = 1024;
+
     /**
      * Honors MIDDLESIM_RUNS, MIDDLESIM_QUICK (=1: single run, 0.5x
      * intervals), MIDDLESIM_TIMESCALE, MIDDLESIM_PROTOCOL
      * (snoop|directory), MIDDLESIM_NUMA_NODES, MIDDLESIM_TOPOLOGY
      * (ring|mesh) and MIDDLESIM_DIR_OCCUPANCY environment variables.
+     * An empty variable counts as unset; a malformed or out-of-range
+     * value is a fatal error naming the variable.
      */
     static FigureOptions fromEnv();
+
+    /**
+     * Fatal unless the options describe a valid machine (e.g.
+     * --dir-occupancy without --protocol=directory). figureMain and
+     * runAllMain call this before any work is queued.
+     */
+    void validate() const;
 };
 
 /** One qualitative conclusion of the paper, checked on our data. */

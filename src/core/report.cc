@@ -10,6 +10,7 @@
 #include "core/metrics_io.hh"
 #include "core/trace_run.hh"
 #include "sim/log.hh"
+#include "sim/parse.hh"
 #include "sim/threadpool.hh"
 
 namespace middlesim::core
@@ -60,12 +61,8 @@ figureMain(FigureResult (*harness)(const FigureOptions &), int argc,
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--jobs=", 0) == 0) {
-            const long jobs = std::strtol(arg.c_str() + 7, nullptr, 10);
-            if (jobs < 1)
-                fatal("figureMain: bad flag '", arg,
-                           "' (want --jobs=N with N >= 1)");
-            sim::ThreadPool::setGlobalJobs(
-                static_cast<unsigned>(jobs));
+            sim::ThreadPool::setGlobalJobs(sim::parseUnsigned(
+                "--jobs", arg.substr(7), 1, sim::ThreadPool::kMaxJobs));
         } else if (arg.rfind("--metrics-out=", 0) == 0) {
             metrics_out = arg.substr(14);
             if (metrics_out.empty())
@@ -93,12 +90,8 @@ figureMain(FigureResult (*harness)(const FigureOptions &), int argc,
                 fatal("figureMain: bad flag '", arg,
                       "' (want --protocol=snoop|directory)");
         } else if (arg.rfind("--numa-nodes=", 0) == 0) {
-            const long nodes =
-                std::strtol(arg.c_str() + 13, nullptr, 10);
-            if (nodes < 1)
-                fatal("figureMain: bad flag '", arg,
-                      "' (want --numa-nodes=N with N >= 1)");
-            numa_nodes = static_cast<unsigned>(nodes);
+            numa_nodes = sim::parseUnsigned("--numa-nodes", arg.substr(13),
+                                            1, FigureOptions::kMaxNumaNodes);
         } else if (arg == "--no-cache") {
             no_cache = true;
         } else if (arg == "--check") {
@@ -111,6 +104,13 @@ figureMain(FigureResult (*harness)(const FigureOptions &), int argc,
                        "--protocol=snoop|directory, --numa-nodes=N)");
         }
     }
+    FigureOptions opt = FigureOptions::fromEnv();
+    if (!protocol_flag.empty())
+        sim::parseProtocol(protocol_flag, opt.protocol);
+    if (numa_nodes != 0)
+        opt.numaNodes = numa_nodes;
+    opt.validate();
+
     // A cached result was produced without the checkers watching;
     // checking is only meaningful for runs that actually execute.
     if (check::checkingEnabled())
@@ -118,11 +118,6 @@ figureMain(FigureResult (*harness)(const FigureOptions &), int argc,
     configureRunCache(cache_dir, no_cache);
     configureTracingFromFlags(trace_out, trace_in);
 
-    FigureOptions opt = FigureOptions::fromEnv();
-    if (!protocol_flag.empty())
-        sim::parseProtocol(protocol_flag, opt.protocol);
-    if (numa_nodes != 0)
-        opt.numaNodes = numa_nodes;
     const FigureResult fig = harness(opt);
     printFigure(fig, std::cout);
     if (!metrics_out.empty()) {

@@ -2,14 +2,14 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "check/checker.hh"
@@ -18,10 +18,9 @@
 #include "core/metrics_io.hh"
 #include "core/report.hh"
 #include "core/trace_run.hh"
-#include "fabric/coordinator.hh"
-#include "fabric/worker.hh"
 #include "sim/log.hh"
 #include "sim/metrics.hh"
+#include "sim/parse.hh"
 #include "sim/threadpool.hh"
 
 namespace middlesim::core
@@ -44,29 +43,13 @@ constexpr FigureJob kFigures[] = {
     {"fig16", runFig16},
 };
 
-/**
- * A RESULT payload is the item's per-run MetricSnapshot (the figure
- * data itself travels through the shared disk RunCache, not through
- * the protocol).
- */
-std::string
-packSnapshot(const sim::MetricSnapshot &snap)
-{
-    sim::ByteWriter w;
-    encodeSnapshot(w, snap);
-    return w.take();
-}
-
 void
-addGridItems(std::vector<fabric::FabricItem> &items,
+addGridItems(std::vector<RunAllItem> &items,
              const std::vector<ExperimentSpec> &specs)
 {
     for (const ExperimentSpec &spec : specs) {
-        items.push_back({"run:" + encodeSpecKey(spec), [spec] {
-            const RunResult r = cachedRunExperiment(spec);
-            return packSnapshot(r.metrics ? *r.metrics
-                                          : sim::MetricSnapshot{});
-        }});
+        items.push_back({"run:" + encodeSpecKey(spec),
+                         [spec] { cachedRunExperiment(spec); }});
     }
 }
 
@@ -75,54 +58,40 @@ addGridItems(std::vector<fabric::FabricItem> &items,
  * addresses, so identical points requested by different figures
  * collapse to one unit of work.
  */
-std::vector<fabric::FabricItem>
+std::vector<RunAllItem>
 figureWork(const std::string &fig, const FigureOptions &opt)
 {
-    std::vector<fabric::FabricItem> items;
+    std::vector<RunAllItem> items;
     if (fig >= "fig04" && fig <= "fig09") {
         addGridItems(items, scalingGridSpecs(opt));
     } else if (fig == "fig10") {
-        items.push_back({"fig10:", [opt] {
-            return packSnapshot(cachedFig10Data(opt).snap);
-        }});
+        items.push_back({"fig10:", [opt] { cachedFig10Data(opt); }});
     } else if (fig == "fig11") {
         for (unsigned s : fig11JbbScales()) {
             items.push_back({"live:jbb:" + std::to_string(s), [s, opt] {
-                return packSnapshot(
-                    cachedLivePoint(WorkloadKind::SpecJbb, s, opt)
-                        .snap);
+                cachedLivePoint(WorkloadKind::SpecJbb, s, opt);
             }});
         }
         for (unsigned s : fig11EcperfScales()) {
             items.push_back({"live:ec:" + std::to_string(s), [s, opt] {
-                return packSnapshot(
-                    cachedLivePoint(WorkloadKind::Ecperf, s, opt)
-                        .snap);
+                cachedLivePoint(WorkloadKind::Ecperf, s, opt);
             }});
         }
     } else if (fig == "fig12" || fig == "fig13") {
         items.push_back({"sweep:ec:8", [opt] {
-            return packSnapshot(
-                cachedSweepOutcome(WorkloadKind::Ecperf, 8, opt).snap);
+            cachedSweepOutcome(WorkloadKind::Ecperf, 8, opt);
         }});
         for (unsigned s : {1u, 10u, 25u}) {
-            items.push_back({"sweep:jbb:" + std::to_string(s),
-                             [s, opt] {
-                return packSnapshot(
-                    cachedSweepOutcome(WorkloadKind::SpecJbb, s, opt)
-                        .snap);
+            items.push_back({"sweep:jbb:" + std::to_string(s), [s, opt] {
+                cachedSweepOutcome(WorkloadKind::SpecJbb, s, opt);
             }});
         }
     } else if (fig == "fig14" || fig == "fig15") {
         items.push_back({"comm:jbb:15:15", [opt] {
-            return packSnapshot(
-                cachedCommFootprint(WorkloadKind::SpecJbb, 15, 15, opt)
-                    .snap);
+            cachedCommFootprint(WorkloadKind::SpecJbb, 15, 15, opt);
         }});
         items.push_back({"comm:ec:8:8", [opt] {
-            return packSnapshot(
-                cachedCommFootprint(WorkloadKind::Ecperf, 8, 8, opt)
-                    .snap);
+            cachedCommFootprint(WorkloadKind::Ecperf, 8, 8, opt);
         }});
     } else if (fig == "fig16") {
         addGridItems(items, fig16GridSpecs(opt));
@@ -130,20 +99,9 @@ figureWork(const std::string &fig, const FigureOptions &opt)
     return items;
 }
 
-/** Fabric-mode figures folded into the stats JSON and stderr log. */
-struct FabricSummary
-{
-    unsigned workersRequested = 0;
-    fabric::FabricStats stats;
-    std::uint64_t cacheHits = 0;
-    std::uint64_t cacheMisses = 0;
-    std::uint64_t decodeFailures = 0;
-};
-
 void
 writeStatsJson(std::ostream &os, std::uint64_t requested,
-               std::uint64_t unique, double prefetch_seconds,
-               const FabricSummary *fab)
+               std::uint64_t unique, double prefetch_seconds)
 {
     const RunCache::Stats cs = RunCache::global().stats();
     const GridDedupeStats gs = gridDedupeStats();
@@ -165,54 +123,38 @@ writeStatsJson(std::ostream &os, std::uint64_t requested,
        << "  \"cache_disk_hits\": " << cs.diskHits << ",\n"
        << "  \"cache_misses\": " << cs.misses << ",\n"
        << "  \"cache_corrupt_misses\": " << cs.corruptMisses << ",\n"
-       << "  \"cache_stores\": " << cs.stores << ",\n";
-    if (fab) {
-        const fabric::FabricStats &fs = fab->stats;
-        os << "  \"fabric\": {\n"
-           << "    \"workers_requested\": " << fab->workersRequested
-           << ",\n"
-           << "    \"workers_spawned\": " << fs.workersSpawned
-           << ",\n"
-           << "    \"executed\": " << fs.executed << ",\n"
-           << "    \"inline_runs\": " << fs.inlineRuns << ",\n"
-           << "    \"requeues\": " << fs.requeues << ",\n"
-           << "    \"stale_results\": " << fs.staleResults << ",\n"
-           << "    \"duplicate_results\": " << fs.duplicateResults
-           << ",\n"
-           << "    \"worker_deaths\": " << fs.workerDeaths << ",\n"
-           << "    \"worker_seconds\": "
-           << sim::formatDouble(fs.workerSeconds) << ",\n"
-           << "    \"result_decode_failures\": "
-           << fab->decodeFailures << ",\n"
-           << "    \"cache_hits\": " << fab->cacheHits << ",\n"
-           << "    \"cache_misses\": " << fab->cacheMisses << ",\n"
-           << "    \"cache_requeues\": " << fs.requeues << "\n"
-           << "  },\n";
-    }
-    os << "  \"jobs_used\": " << sim::ThreadPool::global().jobs()
+       << "  \"cache_stores\": " << cs.stores << ",\n"
+       << "  \"jobs_used\": " << sim::ThreadPool::global().jobs()
        << ",\n"
        << "  \"hardware_concurrency\": "
        << std::thread::hardware_concurrency() << "\n"
        << "}\n";
 }
 
-/** mkdtemp() a throwaway artifact-plane directory for --fabric. */
-std::string
-makeTempCacheDir()
+/**
+ * Render every figure (assembled from cache hits after the prefetch),
+ * emitting exactly what the individual drivers would print.
+ * @return true when every shape check passes.
+ */
+bool
+renderFigures(const FigureOptions &opt, const std::string &metrics_dir)
 {
-    std::error_code ec;
-    std::filesystem::path base =
-        std::filesystem::temp_directory_path(ec);
-    if (ec)
-        base = "/tmp";
-    std::string templ = (base / "middlesim-fabric-XXXXXX").string();
-    std::vector<char> buf(templ.begin(), templ.end());
-    buf.push_back('\0');
-    if (::mkdtemp(buf.data()) == nullptr) {
-        fatal("run_all: cannot create fabric cache dir '", templ,
-              "'");
+    bool all_pass = true;
+    for (const FigureJob &job : kFigures) {
+        const FigureResult fig = job.harness(opt);
+        printFigure(fig, std::cout);
+        all_pass = all_pass && fig.allPass();
+        if (!metrics_dir.empty()) {
+            const std::string path =
+                metrics_dir + "/" + fig.id + ".json";
+            std::ofstream os(path);
+            if (!os)
+                fatal("run_all: cannot open '", path,
+                      "' for writing");
+            writeMetricsJson(os, fig.id, fig.metricsByPoint);
+        }
     }
-    return std::string(buf.data());
+    return all_pass;
 }
 
 } // namespace
@@ -223,7 +165,7 @@ buildRunAllQueue(const FigureOptions &opt)
     RunAllQueue queue;
     std::set<std::string> seen;
     for (const FigureJob &job : kFigures) {
-        for (fabric::FabricItem &item : figureWork(job.id, opt)) {
+        for (RunAllItem &item : figureWork(job.id, opt)) {
             ++queue.requested;
             if (seen.insert(item.id).second)
                 queue.items.push_back(std::move(item));
@@ -240,23 +182,18 @@ runAllMain(int argc, char **argv)
     std::string cache_dir;
     std::string trace_out;
     std::string trace_in;
-    std::string fabric_worker_cmd;
-    std::string fabric_metrics_out;
     std::string protocol_flag;
     std::string topology_flag;
     unsigned numa_nodes = 0;
     long dir_occupancy = -1;
     bool no_cache = false;
-    bool fabric_worker = false;
-    unsigned fabric_workers = 0;
+    unsigned shard_index = 0;
+    unsigned shard_count = 0; // 0 = not sharded
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--jobs=", 0) == 0) {
-            const long jobs = std::strtol(arg.c_str() + 7, nullptr, 10);
-            if (jobs < 1)
-                fatal("run_all: bad flag '", arg,
-                      "' (want --jobs=N with N >= 1)");
-            sim::ThreadPool::setGlobalJobs(static_cast<unsigned>(jobs));
+            sim::ThreadPool::setGlobalJobs(sim::parseUnsigned(
+                "--jobs", arg.substr(7), 1, sim::ThreadPool::kMaxJobs));
         } else if (arg.rfind("--metrics-dir=", 0) == 0) {
             metrics_dir = arg.substr(14);
             if (metrics_dir.empty())
@@ -289,12 +226,8 @@ runAllMain(int argc, char **argv)
                 fatal("run_all: bad flag '", arg,
                       "' (want --protocol=snoop|directory)");
         } else if (arg.rfind("--numa-nodes=", 0) == 0) {
-            const long nodes =
-                std::strtol(arg.c_str() + 13, nullptr, 10);
-            if (nodes < 1)
-                fatal("run_all: bad flag '", arg,
-                      "' (want --numa-nodes=N with N >= 1)");
-            numa_nodes = static_cast<unsigned>(nodes);
+            numa_nodes = sim::parseUnsigned("--numa-nodes", arg.substr(13),
+                                            1, FigureOptions::kMaxNumaNodes);
         } else if (arg.rfind("--topology=", 0) == 0) {
             topology_flag = arg.substr(11);
             sim::Topology t;
@@ -302,32 +235,23 @@ runAllMain(int argc, char **argv)
                 fatal("run_all: bad flag '", arg,
                       "' (want --topology=ring|mesh)");
         } else if (arg.rfind("--dir-occupancy=", 0) == 0) {
-            dir_occupancy = std::strtol(arg.c_str() + 16, nullptr, 10);
-            if (dir_occupancy < 0)
-                fatal("run_all: bad flag '", arg,
-                      "' (want --dir-occupancy=N with N >= 0)");
+            dir_occupancy = sim::parseUnsigned(
+                "--dir-occupancy", arg.substr(16), 0,
+                FigureOptions::kMaxDirOccupancy);
+        } else if (arg.rfind("--shard=", 0) == 0) {
+            const std::string v = arg.substr(8);
+            const std::size_t slash = v.find('/');
+            if (slash == std::string::npos)
+                fatal("--shard: '", v, "' is not i/N");
+            shard_count = sim::parseUnsigned(
+                "--shard", v.substr(slash + 1), 1,
+                std::numeric_limits<unsigned>::max());
+            shard_index = sim::parseUnsigned("--shard", v.substr(0, slash),
+                                             0, shard_count - 1);
         } else if (arg == "--no-cache") {
             no_cache = true;
         } else if (arg == "--check") {
             check::setCheckingEnabled(true);
-        } else if (arg.rfind("--fabric=", 0) == 0) {
-            const long n = std::strtol(arg.c_str() + 9, nullptr, 10);
-            if (n < 1)
-                fatal("run_all: bad flag '", arg,
-                      "' (want --fabric=N with N >= 1)");
-            fabric_workers = static_cast<unsigned>(n);
-        } else if (arg == "--fabric-worker") {
-            fabric_worker = true;
-        } else if (arg.rfind("--fabric-worker-cmd=", 0) == 0) {
-            fabric_worker_cmd = arg.substr(20);
-            if (fabric_worker_cmd.empty())
-                fatal("run_all: bad flag '", arg,
-                      "' (want --fabric-worker-cmd=CMD)");
-        } else if (arg.rfind("--fabric-metrics-out=", 0) == 0) {
-            fabric_metrics_out = arg.substr(21);
-            if (fabric_metrics_out.empty())
-                fatal("run_all: bad flag '", arg,
-                      "' (want --fabric-metrics-out=PATH)");
         } else {
             fatal("run_all: unknown flag '", arg,
                   "' (supported: --jobs=N, --metrics-dir=DIR, "
@@ -335,40 +259,11 @@ runAllMain(int argc, char **argv)
                   "--check, --trace-out=DIR, --trace-in=DIR, "
                   "--protocol=snoop|directory, --numa-nodes=N, "
                   "--topology=ring|mesh, --dir-occupancy=N, "
-                  "--fabric=N, --fabric-worker, "
-                  "--fabric-worker-cmd=CMD, "
-                  "--fabric-metrics-out=PATH)");
+                  "--shard=i/N)");
         }
     }
-    if (fabric_workers > 0 && fabric_worker)
-        fatal("run_all: --fabric=N and --fabric-worker are mutually "
-              "exclusive (the coordinator spawns workers itself)");
-    if (fabric_workers > 0 &&
-        (no_cache || check::checkingEnabled())) {
-        fatal("run_all: --fabric needs the disk cache as its shared "
-              "artifact plane; it cannot combine with --no-cache or "
-              "--check");
-    }
-    if (fabric_workers > 0 &&
-        (!trace_out.empty() || !trace_in.empty())) {
-        fatal("run_all: --fabric does not combine with --trace-out/"
-              "--trace-in (trace recording is per-process)");
-    }
-    if (fabric_workers == 0 && !fabric_worker_cmd.empty())
-        fatal("run_all: --fabric-worker-cmd requires --fabric=N");
-    if (fabric_workers == 0 && !fabric_metrics_out.empty())
-        fatal("run_all: --fabric-metrics-out requires --fabric=N");
-    // A cached result was produced without the checkers watching;
-    // checking is only meaningful for runs that actually execute.
-    if (check::checkingEnabled())
-        no_cache = true;
-    configureRunCache(cache_dir, no_cache);
-    configureTracingFromFlags(trace_out, trace_in);
 
     FigureOptions opt = FigureOptions::fromEnv();
-    // The protocol/topology knobs apply to every figure point (the
-    // worker must inherit them through its command line or env so the
-    // coordinator and workers build the same queue).
     if (!protocol_flag.empty())
         sim::parseProtocol(protocol_flag, opt.protocol);
     if (numa_nodes != 0)
@@ -377,192 +272,79 @@ runAllMain(int argc, char **argv)
         sim::parseTopology(topology_flag, opt.topology);
     if (dir_occupancy >= 0)
         opt.dirOccupancy = static_cast<unsigned>(dir_occupancy);
+    opt.validate();
 
-    // Worker side of the fabric: same queue, leases in on stdin,
-    // results out on stdout. Everything else about this process is
-    // driven by the coordinator.
-    if (fabric_worker) {
-        RunAllQueue queue = buildRunAllQueue(opt);
-        fabric::FabricOptions fopt;
-        fopt.applyEnv();
-        return fabric::runWorker(queue.items, fopt.heartbeatMs);
+    // A cached result was produced without the checkers watching;
+    // checking is only meaningful for runs that actually execute.
+    const bool checking = check::checkingEnabled();
+    configureRunCache(cache_dir, no_cache || checking);
+    configureTracingFromFlags(trace_out, trace_in);
+
+    // A shard only fills the shared disk cache; anything that needs
+    // the results in this process (or skips the cache) is refused.
+    if (shard_count != 0) {
+        if (cache_dir.empty())
+            fatal("--shard: needs --cache-dir=DIR, shared by all shards "
+                  "and the rendering run");
+        const std::pair<bool, const char *> clashes[] = {
+            {no_cache, "--no-cache"},
+            {checking, "--check"},
+            {!traceOutDir().empty() || !traceInDir().empty(),
+             "--trace-out/--trace-in"},
+            {!metrics_dir.empty(), "--metrics-dir"},
+        };
+        for (const auto &[set, flag] : clashes) {
+            if (set)
+                fatal("--shard: does not combine with ", flag,
+                      " (a shard only fills --cache-dir)");
+        }
     }
 
     // Global work queue: every leaf every figure needs, deduplicated
     // by content address.
     RunAllQueue queue = buildRunAllQueue(opt);
-    std::vector<fabric::FabricItem> &unique_items = queue.items;
-    const std::uint64_t requested = queue.requested;
+    std::vector<RunAllItem> &items = queue.items;
+    const std::uint64_t unique = items.size();
     std::fprintf(stderr,
                  "run_all: %llu leaf points requested by 13 figures, "
                  "%zu unique after dedupe (jobs=%u)\n",
-                 static_cast<unsigned long long>(requested),
-                 unique_items.size(),
-                 sim::ThreadPool::global().jobs());
+                 static_cast<unsigned long long>(queue.requested),
+                 items.size(), sim::ThreadPool::global().jobs());
 
-    FabricSummary fab;
-    sim::MetricSnapshot fabric_merged;
-    std::string temp_cache_dir;
-    const auto t_start = std::chrono::steady_clock::now();
-    if (fabric_workers > 0) {
-        // Sharded prefetch: the workers execute the queue and persist
-        // artifacts into the shared disk cache; RESULT frames carry
-        // only the per-item metric snapshots merged below.
-        std::string disk = RunCache::global().diskDir();
-        if (disk.empty()) {
-            temp_cache_dir = makeTempCacheDir();
-            disk = temp_cache_dir;
-            RunCache::global().setDiskDir(disk);
-        }
-        fabric::FabricOptions fopt;
-        fopt.workers = fabric_workers;
-        fopt.applyEnv();
-        if (!fabric_worker_cmd.empty()) {
-            fopt.workerCommand = fabric_worker_cmd;
-        } else {
-            fopt.workerArgv = {fabric::selfExePath(),
-                               "--fabric-worker",
-                               "--cache-dir=" + disk};
-            if (!protocol_flag.empty())
-                fopt.workerArgv.push_back("--protocol=" +
-                                          protocol_flag);
-            if (numa_nodes != 0)
-                fopt.workerArgv.push_back(
-                    "--numa-nodes=" + std::to_string(numa_nodes));
-            if (!topology_flag.empty())
-                fopt.workerArgv.push_back("--topology=" +
-                                          topology_flag);
-            if (dir_occupancy >= 0)
-                fopt.workerArgv.push_back(
-                    "--dir-occupancy=" +
-                    std::to_string(dir_occupancy));
-        }
-        std::fprintf(stderr,
-                     "run_all: fabric: %u worker(s), artifact plane "
-                     "'%s'\n",
-                     fabric_workers, disk.c_str());
-
-        std::vector<std::string> payloads(unique_items.size());
-        std::vector<char> have(unique_items.size(), 0);
-        fab.workersRequested = fabric_workers;
-        fab.stats = fabric::runCoordinator(
-            unique_items, fopt,
-            [&](std::size_t index, const std::string &payload) {
-                payloads[index] = payload;
-                have[index] = 1;
-            });
-
-        // Merge in index order: byte-identical regardless of which
-        // worker finished which item when.
-        for (std::size_t i = 0; i < payloads.size(); ++i) {
-            if (!have[i]) {
-                ++fab.decodeFailures;
-                continue;
-            }
-            sim::ByteReader r(payloads[i]);
-            const sim::MetricSnapshot snap = decodeSnapshot(r);
-            if (!r.atEnd()) {
-                ++fab.decodeFailures;
-                continue;
-            }
-            fabric_merged.merge(snap);
-        }
-    } else {
-        // Prefetch: one flat fan-out over the unique points. Leaf
-        // tasks never submit nested pool work, so this cannot
-        // deadlock.
-        sim::ThreadPool::global().parallelFor(
-            unique_items.size(),
-            [&](std::size_t i) { unique_items[i].run(); });
+    // A shard keeps every N-th unique item, from its index on.
+    if (shard_count != 0) {
+        std::vector<RunAllItem> mine;
+        for (std::size_t i = shard_index; i < items.size();
+             i += shard_count)
+            mine.push_back(std::move(items[i]));
+        std::fprintf(stderr, "run_all: shard %u/%u runs %zu of them\n",
+                     shard_index, shard_count, mine.size());
+        items = std::move(mine);
     }
+
+    // Prefetch: one flat fan-out over the unique points. Leaf tasks
+    // never submit nested pool work, so this cannot deadlock.
+    const auto t_start = std::chrono::steady_clock::now();
+    sim::ThreadPool::global().parallelFor(
+        items.size(), [&](std::size_t i) { items[i].run(); });
     const double prefetch_seconds =
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - t_start)
             .count();
-    if (fabric_workers > 0) {
-        std::fprintf(stderr,
-                     "run_all: fabric: %llu on workers, %llu inline, "
-                     "%llu requeued, %llu worker death(s) in %.2f s\n",
-                     static_cast<unsigned long long>(
-                         fab.stats.executed),
-                     static_cast<unsigned long long>(
-                         fab.stats.inlineRuns),
-                     static_cast<unsigned long long>(
-                         fab.stats.requeues),
-                     static_cast<unsigned long long>(
-                         fab.stats.workerDeaths),
-                     prefetch_seconds);
-    } else {
-        std::fprintf(stderr, "run_all: prefetch done in %.2f s\n",
-                     prefetch_seconds);
-    }
+    std::fprintf(stderr, "run_all: prefetch done in %.2f s\n",
+                 prefetch_seconds);
 
-    // Render every figure (now assembled from memo hits), emitting
-    // exactly what the individual drivers would print. In fabric mode
-    // the artifacts come off the shared disk cache, so stdout is
-    // deterministic for any worker count, loss, or arrival order.
-    const RunCache::Stats cs_before_render =
-        RunCache::global().stats();
-    bool all_pass = true;
-    for (const FigureJob &job : kFigures) {
-        const FigureResult fig = job.harness(opt);
-        printFigure(fig, std::cout);
-        all_pass = all_pass && fig.allPass();
-        if (!metrics_dir.empty()) {
-            const std::string path =
-                metrics_dir + "/" + fig.id + ".json";
-            std::ofstream os(path);
-            if (!os)
-                fatal("run_all: cannot open '", path,
-                      "' for writing");
-            writeMetricsJson(os, fig.id, fig.metricsByPoint);
-        }
-    }
-
-    if (fabric_workers > 0) {
-        // The fabric.cache.* family: how the coordinator's render
-        // phase fared against the artifact plane the workers filled.
-        const RunCache::Stats cs = RunCache::global().stats();
-        fab.cacheHits = (cs.memoryHits + cs.diskHits) -
-                        (cs_before_render.memoryHits +
-                         cs_before_render.diskHits);
-        fab.cacheMisses = cs.misses - cs_before_render.misses;
-        sim::MetricRegistry fabric_registry;
-        fabric_registry.counter("fabric.cache.hits")
-            .set(fab.cacheHits);
-        fabric_registry.counter("fabric.cache.misses")
-            .set(fab.cacheMisses);
-        fabric_registry.counter("fabric.cache.requeues")
-            .set(fab.stats.requeues);
-        fabric_merged.merge(fabric_registry.snapshot());
-    }
-
-    if (!fabric_metrics_out.empty()) {
-        std::ofstream os(fabric_metrics_out);
-        if (!os)
-            fatal("run_all: cannot open '", fabric_metrics_out,
-                  "' for writing");
-        os << "{\n  \"schema\": \"middlesim-fabric-metrics-v1\",\n"
-           << "  \"items\": " << unique_items.size() << ",\n"
-           << "  \"merged\":\n";
-        fabric_merged.writeJson(os, 2);
-        os << "\n}\n";
-    }
+    // A shard stops here: a later run over the same --cache-dir
+    // renders.
+    const bool all_pass =
+        shard_count != 0 || renderFigures(opt, metrics_dir);
 
     if (!stats_out.empty()) {
         std::ofstream os(stats_out);
         if (!os)
             fatal("run_all: cannot open '", stats_out,
                   "' for writing");
-        writeStatsJson(os, requested,
-                       static_cast<std::uint64_t>(unique_items.size()),
-                       prefetch_seconds,
-                       fabric_workers > 0 ? &fab : nullptr);
-    }
-
-    if (!temp_cache_dir.empty()) {
-        std::error_code ec;
-        std::filesystem::remove_all(temp_cache_dir, ec);
+        writeStatsJson(os, queue.requested, unique, prefetch_seconds);
     }
     return all_pass ? 0 : 1;
 }

@@ -1,34 +1,42 @@
 /**
  * @file
  * The all-figures runner: every figure of the paper off one global
- * deduplicated work queue — executed on the in-process thread pool,
- * or sharded over worker processes by the experiment fabric.
+ * deduplicated work queue, executed on the in-process thread pool —
+ * whole, or one shard of it per process.
  */
 
 #ifndef CORE_RUN_ALL_HH
 #define CORE_RUN_ALL_HH
 
 #include <cstdint>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "core/figures.hh"
-#include "fabric/fabric.hh"
 
 namespace middlesim::core
 {
 
+/** One leaf simulation of the campaign. */
+struct RunAllItem
+{
+    /** Content address: equal ids compute the same result. */
+    std::string id;
+    /** Compute the result into the RunCache (memory and disk). */
+    std::function<void()> run;
+};
+
 /**
  * The canonical work queue of a full 13-figure campaign: every leaf
  * simulation any figure needs, deduplicated by content address, in a
- * fixed enumeration order. Coordinator and worker processes each call
- * this with the same environment-derived options and must obtain
- * byte-identical id sequences — the fabric's HELLO queue-hash check
- * enforces that they did.
+ * fixed enumeration order. The same options always yield the same
+ * sequence, so `--shard=i/N` processes partition it consistently.
  */
 struct RunAllQueue
 {
     /** Unique items, in canonical (figure enumeration) order. */
-    std::vector<fabric::FabricItem> items;
+    std::vector<RunAllItem> items;
     /** Leaf points requested before deduplication. */
     std::uint64_t requested = 0;
 };
@@ -50,16 +58,14 @@ RunAllQueue buildRunAllQueue(const FigureOptions &opt);
  * reference streams of execution-driven runs / replay the Figure
  * 12/13 sweeps from prior recordings (MIDDLESIM_TRACE=DIR sets both).
  *
- * Fabric flags: `--fabric=N` prefetches through N worker *processes*
- * instead of the thread pool (stdout stays byte-identical for any N,
- * worker loss included); `--fabric-worker-cmd=CMD` attaches each
- * worker by running `/bin/sh -c CMD` (e.g. ssh to another host)
- * instead of re-executing this binary; `--fabric-metrics-out=PATH`
- * writes the MetricSnapshot merge streamed back from the workers;
- * `--fabric-worker` runs the worker side of the line protocol on
- * stdin/stdout (spawned by the coordinator, not for interactive use).
+ * `--shard=i/N` runs only the unique items whose queue index is
+ * i mod N, into the `--cache-dir` it requires, and renders nothing.
+ * Once shards 0..N-1 have finished (in any processes, on any hosts
+ * sharing the directory), a plain `run_all --cache-dir=DIR` renders
+ * the campaign from disk hits, byte-identical to an unsharded run.
  *
- * @return 0 when every shape check of every figure passes.
+ * @return 0 when every shape check of every figure passes (a shard
+ * returns 0 once its items are cached).
  */
 int runAllMain(int argc, char **argv);
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 
-#include "sim/log.hh"
+#include "sim/parse.hh"
 
 namespace middlesim::sim
 {
@@ -72,11 +72,8 @@ unsigned
 ThreadPool::defaultJobs()
 {
     if (const char *env = std::getenv("MIDDLESIM_JOBS")) {
-        const int jobs = std::atoi(env);
-        if (jobs >= 1)
-            return static_cast<unsigned>(jobs);
-        warn("MIDDLESIM_JOBS=", env, " invalid; using 1");
-        return 1;
+        if (*env != '\0')
+            return parseUnsigned("MIDDLESIM_JOBS", env, 1, kMaxJobs);
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : hw;

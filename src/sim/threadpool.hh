@@ -80,9 +80,13 @@ class ThreadPool
     void parallelFor(std::size_t n,
                      const std::function<void(std::size_t)> &body);
 
+    /** Largest worker count --jobs / MIDDLESIM_JOBS accept. */
+    static constexpr unsigned kMaxJobs = 1024;
+
     /**
      * Worker count for the process-wide pool: MIDDLESIM_JOBS if set
-     * (clamped to >= 1), else std::thread::hardware_concurrency().
+     * (a whole number in [1, kMaxJobs], else fatal), else
+     * std::thread::hardware_concurrency().
      */
     static unsigned defaultJobs();
 

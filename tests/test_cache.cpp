@@ -424,7 +424,8 @@ TEST_F(CacheTest, CorruptCacheFilesDegradeToMisses)
 
     // After the re-simulation the repaired file serves hits again
     // (miss-and-rewrite: the store healed the corrupt entry, exactly
-    // what a second fabric process observing a torn write relies on).
+    // what a concurrent run_all shard observing a torn write relies
+    // on).
     core::RunCache::global().clearMemory();
     core::RunCache::global().resetStats();
     expectIdentical(fresh, core::cachedRunExperiment(spec));

@@ -11,6 +11,7 @@
 
 #include <cstdlib>
 #include <sstream>
+#include <utility>
 
 #include "core/figures.hh"
 #include "core/figures_internal.hh"
@@ -92,12 +93,49 @@ TEST(FigureOptions, TimescaleShrinksIntervalsProportionally)
         EXPECT_LT(specs_q[i].measure, specs_f[i].measure);
     }
 
-    // Zero and negative values are rejected, keeping the default.
+    // Zero and negative values are a fatal error naming the variable.
     setenv("MIDDLESIM_TIMESCALE", "0", 1);
-    EXPECT_DOUBLE_EQ(FigureOptions::fromEnv().timeScale, 1.0);
+    EXPECT_EXIT(FigureOptions::fromEnv(), ::testing::ExitedWithCode(1),
+                "MIDDLESIM_TIMESCALE: '0'");
     setenv("MIDDLESIM_TIMESCALE", "-2", 1);
-    EXPECT_DOUBLE_EQ(FigureOptions::fromEnv().timeScale, 1.0);
+    EXPECT_EXIT(FigureOptions::fromEnv(), ::testing::ExitedWithCode(1),
+                "MIDDLESIM_TIMESCALE: '-2'");
     unsetenv("MIDDLESIM_TIMESCALE");
+}
+
+TEST(FigureOptions, FromEnvRejectsMalformedNumbers)
+{
+    const std::pair<const char *, const char *> bad[] = {
+        {"MIDDLESIM_RUNS", "-1"},       {"MIDDLESIM_RUNS", "3x"},
+        {"MIDDLESIM_RUNS", "0"},        {"MIDDLESIM_TIMESCALE", "abc"},
+        {"MIDDLESIM_TIMESCALE", "nan"}, {"MIDDLESIM_QUICK", "2"},
+        {"MIDDLESIM_NUMA_NODES", "0"},  {"MIDDLESIM_DIR_OCCUPANCY", " 1"},
+    };
+    for (const auto &[name, value] : bad) {
+        setenv(name, value, 1);
+        EXPECT_EXIT(FigureOptions::fromEnv(), ::testing::ExitedWithCode(1),
+                    std::string(name) + ": '" + value + "'")
+            << name << "=" << value;
+        unsetenv(name);
+    }
+    // An empty variable counts as unset.
+    setenv("MIDDLESIM_RUNS", "", 1);
+    EXPECT_EQ(FigureOptions::fromEnv().runs, FigureOptions{}.runs);
+    unsetenv("MIDDLESIM_RUNS");
+}
+
+TEST(FigureOptions, ValidateRejectsDirectoryKnobsOnTheSnoopBus)
+{
+    FigureOptions opt;
+    opt.validate(); // the paper's machine
+    opt.dirOccupancy = 4;
+    EXPECT_EXIT(opt.validate(), ::testing::ExitedWithCode(1),
+                "--dir-occupancy");
+    opt.protocol = sim::CoherenceProtocol::DirectoryMesi;
+    opt.numaNodes = 4;
+    opt.validate();
+    opt.numaNodes = 3; // does not divide the 16 L2 groups
+    EXPECT_EXIT(opt.validate(), ::testing::ExitedWithCode(1), "numaNodes");
 }
 
 TEST(Report, RendersTablesAndVerdicts)
