@@ -14,9 +14,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/experiment.hh"
+#include "sim/parse.hh"
 
 using namespace middlesim;
 using core::ExperimentSpec;
@@ -52,9 +52,13 @@ spec(WorkloadKind kind, unsigned cpus, double ts)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
-    const bool quick = std::getenv("MIDDLESIM_QUICK") != nullptr;
+    bool quick = false;
+    sim::parseFlags("ablation_mechanisms", {
+        {nullptr, "MIDDLESIM_QUICK", nullptr, "1 = half-length intervals",
+         sim::storeTrue(quick)},
+    }, argc, argv);
     const double ts = quick ? 0.5 : 1.0;
 
     std::printf("=== ablation: mechanism -> behavior ===\n\n");

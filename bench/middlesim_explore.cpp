@@ -21,7 +21,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 
@@ -30,6 +29,8 @@
 #include "explore/explorer.hh"
 #include "mem/fault.hh"
 #include "sim/log.hh"
+#include "sim/parse.hh"
+#include "sim/threadpool.hh"
 
 using namespace middlesim;
 
@@ -62,124 +63,65 @@ struct Options
     std::string report;
 };
 
-mem::FaultPlan::Kind
-parseInject(const std::string &name)
-{
-    if (name == "none")
-        return mem::FaultPlan::Kind::None;
-    if (name == "drop-invalidate")
-        return mem::FaultPlan::Kind::DropInvalidate;
-    if (name == "keep-owner")
-        return mem::FaultPlan::Kind::KeepOwnerOnSnoop;
-    if (name == "skip-l1" || name == "skip-l1-back-inval")
-        return mem::FaultPlan::Kind::SkipL1BackInvalidate;
-    if (name == "drop-ack" || name == "drop-inval-ack")
-        return mem::FaultPlan::Kind::DropInvalAck;
-    if (name == "nack-storm")
-        return mem::FaultPlan::Kind::NackStorm;
-    fatal("middlesim_explore: unknown --inject value '", name,
-          "' (want none, drop-invalidate, keep-owner, skip-l1, "
-          "drop-ack or nack-storm)");
-    return mem::FaultPlan::Kind::None;
-}
-
-sim::CoherenceProtocol
-parseProtocol(const std::string &name)
-{
-    if (name == "snoop" || name == "bus" || name == "mosi")
-        return sim::CoherenceProtocol::SnoopBus;
-    if (name == "directory" || name == "dir" || name == "mesi")
-        return sim::CoherenceProtocol::DirectoryMesi;
-    fatal("middlesim_explore: unknown --protocol value '", name,
-          "' (want snoop or directory)");
-    return sim::CoherenceProtocol::SnoopBus;
-}
-
 Options
 parseArgs(int argc, char **argv)
 {
     Options opt;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto num = [&](std::size_t prefix) {
-            return std::strtoull(arg.c_str() + prefix, nullptr, 10);
-        };
-        if (arg.rfind("--cpus=", 0) == 0) {
-            opt.cpus = static_cast<unsigned>(num(7));
-        } else if (arg.rfind("--cpus-per-l2=", 0) == 0) {
-            opt.cpusPerL2 = static_cast<unsigned>(num(14));
-        } else if (arg.rfind("--protocol=", 0) == 0) {
-            opt.protocol = parseProtocol(arg.substr(11));
-        } else if (arg.rfind("--numa-nodes=", 0) == 0) {
-            opt.numaNodes = static_cast<unsigned>(num(13));
-        } else if (arg.rfind("--topology=", 0) == 0) {
-            if (!sim::parseTopology(arg.substr(11), opt.topology))
-                fatal("middlesim_explore: unknown --topology value '",
-                      arg.substr(11), "' (want ring or mesh)");
-        } else if (arg.rfind("--dir-occupancy=", 0) == 0) {
-            opt.dirOccupancy = static_cast<unsigned>(num(16));
-        } else if (arg.rfind("--blocks=", 0) == 0) {
-            opt.blocks = static_cast<unsigned>(num(9));
-        } else if (arg.rfind("--refs=", 0) == 0) {
-            opt.refs = static_cast<unsigned>(num(7));
-        } else if (arg.rfind("--seed=", 0) == 0) {
-            opt.seed = num(7);
-        } else if (arg.rfind("--depth-budget=", 0) == 0) {
-            opt.depthBudget = static_cast<unsigned>(num(15));
-        } else if (arg.rfind("--max-executions=", 0) == 0) {
-            opt.maxExecutions = num(17);
-        } else if (arg.rfind("--jobs=", 0) == 0) {
-            opt.jobs = std::max(1u, static_cast<unsigned>(num(7)));
-        } else if (arg == "--no-dpor") {
-            opt.dpor = false;
-        } else if (arg == "--timing") {
-            opt.timing = true;
-        } else if (arg.rfind("--inject=", 0) == 0) {
-            opt.inject = parseInject(arg.substr(9));
-        } else if (arg.rfind("--inject-period=", 0) == 0) {
-            opt.injectPeriod = num(16);
-        } else if (arg.rfind("--inject-salt=", 0) == 0) {
-            opt.injectSalt = num(14);
-        } else if (arg.rfind("--out=", 0) == 0) {
-            opt.out = arg.substr(6);
-        } else if (arg.rfind("--report=", 0) == 0) {
-            opt.report = arg.substr(9);
-        } else {
-            fatal("middlesim_explore: unknown flag '", arg,
-                  "' (supported: --cpus=N, --cpus-per-l2=N, "
-                  "--protocol=snoop|directory, --numa-nodes=N, "
-                  "--topology=ring|mesh, --dir-occupancy=N, "
-                  "--blocks=N, --refs=N, --seed=N, --depth-budget=N, "
-                  "--max-executions=N, --jobs=N, --no-dpor, --timing, "
-                  "--inject=KIND, --inject-period=N, --inject-salt=N, "
-                  "--out=DIR, --report=FILE)");
-        }
-    }
-    if (opt.cpus < 1 || opt.cpus > 8)
-        fatal("middlesim_explore: --cpus must be in [1, 8]");
-    if (opt.cpus % std::max(1u, opt.cpusPerL2) != 0)
-        fatal("middlesim_explore: --cpus-per-l2 must divide --cpus");
-    if (opt.blocks < 1)
-        fatal("middlesim_explore: --blocks must be >= 1");
-    if (opt.numaNodes < 1)
-        fatal("middlesim_explore: --numa-nodes must be >= 1");
-    const unsigned groups = opt.cpus / std::max(1u, opt.cpusPerL2);
-    if (groups % opt.numaNodes != 0)
-        fatal("middlesim_explore: --numa-nodes must divide the L2 "
-              "group count (", groups, ")");
-    if (opt.numaNodes != 1 &&
-        opt.protocol != sim::CoherenceProtocol::DirectoryMesi)
-        fatal("middlesim_explore: --numa-nodes>1 needs "
-              "--protocol=directory");
+    sim::parseFlags("middlesim_explore", {
+        {"cpus", nullptr, "N", "CPUs, 1-8 (2)", sim::store(opt.cpus, 1, 8)},
+        {"cpus-per-l2", nullptr, "N", "CPUs sharing an L2 (1)",
+         sim::store(opt.cpusPerL2, 1)},
+        {"protocol", nullptr, "snoop|directory",
+         "coherence protocol (snoop)",
+         [&](const std::string &what, const std::string &text) {
+             opt.protocol = sim::parseProtocol(what, text);
+         }},
+        {"numa-nodes", nullptr, "N", "NUMA nodes (directory only; 1)",
+         sim::store(opt.numaNodes, 1)},
+        {"topology", nullptr, "ring|mesh",
+         "node interconnect (directory only; ring)",
+         [&](const std::string &what, const std::string &text) {
+             opt.topology = sim::parseTopology(what, text);
+         }},
+        {"dir-occupancy", nullptr, "N",
+         "in-flight slots per directory home (0)",
+         sim::store(opt.dirOccupancy, 0)},
+        {"blocks", nullptr, "N", "distinct blocks referenced (2)",
+         sim::store(opt.blocks, 1)},
+        {"refs", nullptr, "N", "references, dealt round-robin (12)",
+         sim::store(opt.refs, 0)},
+        {"seed", nullptr, "N", "stream seed (1)", sim::store(opt.seed, 0)},
+        {"depth-budget", nullptr, "N",
+         "bound the explored depth (0 = none)",
+         sim::store(opt.depthBudget, 0)},
+        {"max-executions", nullptr, "N",
+         "cap executions per branch (0 = none)",
+         sim::store(opt.maxExecutions, 0)},
+        {"jobs", nullptr, "N", "explorer threads (1)",
+         sim::store(opt.jobs, 1, sim::ThreadPool::kMaxJobs)},
+        {"no-dpor", nullptr, nullptr, "naive enumeration, no pruning",
+         [&](const std::string &, const std::string &) {
+             opt.dpor = false;
+         }},
+        {"timing", nullptr, nullptr, "report wall-clock seconds",
+         sim::storeTrue(opt.timing)},
+        {"inject", nullptr, "KIND", "arm a fault that must be found",
+         [&](const std::string &what, const std::string &text) {
+             opt.inject = mem::parseFaultKind(what, text);
+         }},
+        {"inject-period", nullptr, "N", "fault period (1)",
+         sim::store(opt.injectPeriod, 1)},
+        {"inject-salt", nullptr, "N", "fault salt (0)",
+         sim::store(opt.injectSalt, 0)},
+        {"out", nullptr, "DIR", "write the minimized .mst repro into DIR",
+         sim::store(opt.out)},
+        {"report", nullptr, "FILE", "JSON report path (stdout)",
+         sim::store(opt.report)},
+    }, argc, argv);
     if (opt.inject == mem::FaultPlan::Kind::DropInvalAck &&
         opt.protocol != sim::CoherenceProtocol::DirectoryMesi)
         fatal("middlesim_explore: --inject=drop-ack is a directory "
               "defect; add --protocol=directory");
-    if ((opt.topology != sim::Topology::Ring ||
-         opt.dirOccupancy != 0) &&
-        opt.protocol != sim::CoherenceProtocol::DirectoryMesi)
-        fatal("middlesim_explore: --topology=mesh/--dir-occupancy "
-              "need --protocol=directory");
     if (opt.inject == mem::FaultPlan::Kind::NackStorm &&
         opt.dirOccupancy == 0)
         fatal("middlesim_explore: --inject=nack-storm is a contended-"
@@ -199,6 +141,7 @@ main(int argc, char **argv)
     const trace::TraceHeader header = explore::exploreHeader(
         opt.cpus, opt.cpusPerL2, opt.seed, opt.protocol,
         opt.numaNodes, opt.topology, opt.dirOccupancy);
+    header.machine().validate();
     const explore::Streams streams =
         explore::makeStreams(opt.cpus, opt.blocks, opt.refs, opt.seed);
 

@@ -24,7 +24,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -34,6 +33,7 @@
 #include "core/trace_run.hh"
 #include "mem/fault.hh"
 #include "sim/log.hh"
+#include "sim/parse.hh"
 #include "sim/rng.hh"
 #include "trace/format.hh"
 #include "trace/reader.hh"
@@ -48,7 +48,7 @@ struct Options
 {
     unsigned seeds = 25;
     std::uint64_t seed0 = 1;
-    /** Wall-clock budget in seconds (0 = unlimited). */
+    /** Wall-clock budget in whole seconds (0 = unlimited). */
     double budget = 60.0;
     /** Synthetic references per seed. */
     unsigned refs = 20000;
@@ -75,72 +75,49 @@ enum ReproStatus
     kReproInvalid = 3,
 };
 
-mem::FaultPlan::Kind
-parseInject(const std::string &name)
-{
-    if (name == "none")
-        return mem::FaultPlan::Kind::None;
-    if (name == "drop-invalidate")
-        return mem::FaultPlan::Kind::DropInvalidate;
-    if (name == "keep-owner")
-        return mem::FaultPlan::Kind::KeepOwnerOnSnoop;
-    if (name == "skip-l1" || name == "skip-l1-back-inval")
-        return mem::FaultPlan::Kind::SkipL1BackInvalidate;
-    if (name == "drop-ack" || name == "drop-inval-ack")
-        return mem::FaultPlan::Kind::DropInvalAck;
-    if (name == "nack-storm")
-        return mem::FaultPlan::Kind::NackStorm;
-    fatal("middlesim_stress: unknown --inject value '", name,
-          "' (want none, drop-invalidate, keep-owner, skip-l1, "
-          "drop-ack or nack-storm)");
-    return mem::FaultPlan::Kind::None;
-}
-
 Options
 parseArgs(int argc, char **argv)
 {
     Options opt;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--seeds=", 0) == 0) {
-            opt.seeds = static_cast<unsigned>(
-                std::strtoul(arg.c_str() + 8, nullptr, 10));
-        } else if (arg.rfind("--seed0=", 0) == 0) {
-            opt.seed0 = std::strtoull(arg.c_str() + 8, nullptr, 10);
-        } else if (arg.rfind("--budget=", 0) == 0) {
-            // Accepts "60" and "60s".
-            opt.budget = std::strtod(arg.c_str() + 9, nullptr);
-        } else if (arg.rfind("--refs=", 0) == 0) {
-            opt.refs = static_cast<unsigned>(
-                std::strtoul(arg.c_str() + 7, nullptr, 10));
-            if (opt.refs == 0)
-                fatal("middlesim_stress: --refs must be >= 1");
-        } else if (arg.rfind("--out=", 0) == 0) {
-            opt.out = arg.substr(6);
-        } else if (arg.rfind("--inject=", 0) == 0) {
-            opt.inject = parseInject(arg.substr(9));
-        } else if (arg.rfind("--inject-period=", 0) == 0) {
-            opt.injectPeriod =
-                std::strtoull(arg.c_str() + 16, nullptr, 10);
-        } else if (arg.rfind("--inject-salt=", 0) == 0) {
-            opt.injectSalt =
-                std::strtoull(arg.c_str() + 14, nullptr, 10);
-        } else if (arg.rfind("--repro=", 0) == 0) {
-            opt.repro = arg.substr(8);
-        } else if (arg.rfind("--mode=", 0) == 0) {
-            opt.mode = arg.substr(7);
-            if (opt.mode != "synthetic" && opt.mode != "workload" &&
-                opt.mode != "both")
-                fatal("middlesim_stress: bad --mode '", opt.mode,
-                      "' (want synthetic, workload or both)");
-        } else {
-            fatal("middlesim_stress: unknown flag '", arg,
-                  "' (supported: --seeds=N, --seed0=N, --budget=SECs, "
-                  "--refs=N, --out=DIR, --inject=KIND, "
-                  "--inject-period=N, --inject-salt=N, --mode=MODE, "
-                  "--repro=FILE.mst)");
-        }
-    }
+    sim::parseFlags("middlesim_stress", {
+        {"seeds", nullptr, "N", "seeds to run (25)",
+         sim::store(opt.seeds, 1)},
+        {"seed0", nullptr, "N", "first seed (1)", sim::store(opt.seed0, 0)},
+        {"budget", nullptr, "SECONDS",
+         "wall-clock budget, e.g. 60 or 60s (0 = unlimited)",
+         [&](const std::string &what, const std::string &text) {
+             std::string secs = text;
+             if (secs.back() == 's')
+                 secs.pop_back();
+             opt.budget = static_cast<double>(
+                 sim::parseUnsigned(what, secs, 0, 1u << 30));
+         }},
+        {"refs", nullptr, "N", "synthetic references per seed (20000)",
+         sim::store(opt.refs, 1)},
+        {"out", nullptr, "DIR", "write minimized .mst repros into DIR",
+         sim::store(opt.out)},
+        {"inject", nullptr, "KIND",
+         "arm a fault every seed must catch (none)",
+         [&](const std::string &what, const std::string &text) {
+             opt.inject = mem::parseFaultKind(what, text);
+         }},
+        {"inject-period", nullptr, "N", "--repro fault period (1)",
+         sim::store(opt.injectPeriod, 1)},
+        {"inject-salt", nullptr, "N", "--repro fault salt (0)",
+         sim::store(opt.injectSalt, 0)},
+        {"mode", nullptr, "synthetic|workload|both",
+         "reference source per seed (synthetic)",
+         [&](const std::string &what, const std::string &text) {
+             if (text != "synthetic" && text != "workload" &&
+                 text != "both")
+                 fatal(what, ": unknown mode '", text,
+                       "' (want synthetic, workload or both)");
+             opt.mode = text;
+         }},
+        {"repro", nullptr, "FILE.mst",
+         "replay a shrunken repro instead of stressing",
+         sim::store(opt.repro)},
+    }, argc, argv);
     return opt;
 }
 

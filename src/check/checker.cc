@@ -5,6 +5,7 @@
 #include "check/jvm_checker.hh"
 #include "check/mem_checker.hh"
 #include "check/sched_checker.hh"
+#include "sim/parse.hh"
 
 namespace middlesim::check
 {
@@ -65,9 +66,9 @@ checkingEnabled()
     int &s = checkState();
     if (s < 0) {
         const char *env = std::getenv("MIDDLESIM_CHECK");
-        s = (env && env[0] != '\0' &&
-             !(env[0] == '0' && env[1] == '\0'))
-                ? 1
+        s = env && env[0] != '\0'
+                ? static_cast<int>(
+                      sim::parseUnsigned("MIDDLESIM_CHECK", env, 0, 1))
                 : 0;
     }
     return s == 1;

@@ -66,9 +66,10 @@ class Checker
 };
 
 /**
- * Process-wide opt-in: true when MIDDLESIM_CHECK is set to a nonzero
- * value in the environment, or setCheckingEnabled(true) was called
- * (the --check flag of the figure drivers).
+ * Process-wide opt-in: true when MIDDLESIM_CHECK=1 is in the
+ * environment, or setCheckingEnabled(true) was called (the --check
+ * flag of the figure drivers). Any MIDDLESIM_CHECK value but empty,
+ * 0 or 1 is a fatal error.
  */
 bool checkingEnabled();
 void setCheckingEnabled(bool on);

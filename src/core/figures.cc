@@ -67,50 +67,49 @@ scalingSpec(WorkloadKind kind, unsigned cpus, const FigureOptions &opt)
     return spec;
 }
 
-/** The variable's value, or nullptr when it is unset or empty. */
-const char *
-envValue(const char *name)
-{
-    const char *v = std::getenv(name);
-    return v && *v != '\0' ? v : nullptr;
-}
-
 } // namespace
+
+std::vector<sim::Flag>
+FigureOptions::flags()
+{
+    return {
+        {nullptr, "MIDDLESIM_RUNS", "N", "runs per measured point (3)",
+         sim::store(runs, 1, kMaxRuns)},
+        {nullptr, "MIDDLESIM_QUICK", nullptr,
+         "1 = one run per point, half-length intervals",
+         [this](const std::string &, const std::string &) {
+             runs = 1;
+             timeScale = 0.5;
+         }},
+        {nullptr, "MIDDLESIM_TIMESCALE", "F",
+         "scale every warmup/measure interval by F",
+         [this](const std::string &what, const std::string &text) {
+             timeScale = sim::parsePositive(what, text, kMaxTimeScale);
+         }},
+        {"protocol", "MIDDLESIM_PROTOCOL", "snoop|directory",
+         "coherence protocol of every point",
+         [this](const std::string &what, const std::string &text) {
+             protocol = sim::parseProtocol(what, text);
+         }},
+        {"numa-nodes", "MIDDLESIM_NUMA_NODES", "N",
+         "NUMA nodes (directory only)",
+         sim::store(numaNodes, 1, kMaxNumaNodes)},
+        {"topology", "MIDDLESIM_TOPOLOGY", "ring|mesh",
+         "node interconnect (directory only)",
+         [this](const std::string &what, const std::string &text) {
+             topology = sim::parseTopology(what, text);
+         }},
+        {"dir-occupancy", "MIDDLESIM_DIR_OCCUPANCY", "N",
+         "in-flight slots per directory home (0 = no contention)",
+         sim::store(dirOccupancy, 0, kMaxDirOccupancy)},
+    };
+}
 
 FigureOptions
 FigureOptions::fromEnv()
 {
     FigureOptions opt;
-    if (const char *runs = envValue("MIDDLESIM_RUNS"))
-        opt.runs = sim::parseUnsigned("MIDDLESIM_RUNS", runs, 1, kMaxRuns);
-    if (const char *quick = envValue("MIDDLESIM_QUICK")) {
-        if (sim::parseUnsigned("MIDDLESIM_QUICK", quick, 0, 1) != 0) {
-            opt.runs = 1;
-            opt.timeScale = 0.5;
-        }
-    }
-    if (const char *ts = envValue("MIDDLESIM_TIMESCALE")) {
-        opt.timeScale =
-            sim::parsePositive("MIDDLESIM_TIMESCALE", ts, kMaxTimeScale);
-    }
-    if (const char *proto = envValue("MIDDLESIM_PROTOCOL")) {
-        if (!sim::parseProtocol(proto, opt.protocol))
-            fatal("MIDDLESIM_PROTOCOL: unknown protocol '", proto,
-                  "' (want snoop or directory)");
-    }
-    if (const char *nodes = envValue("MIDDLESIM_NUMA_NODES")) {
-        opt.numaNodes = sim::parseUnsigned("MIDDLESIM_NUMA_NODES", nodes,
-                                           1, kMaxNumaNodes);
-    }
-    if (const char *topo = envValue("MIDDLESIM_TOPOLOGY")) {
-        if (!sim::parseTopology(topo, opt.topology))
-            fatal("MIDDLESIM_TOPOLOGY: unknown topology '", topo,
-                  "' (want ring or mesh)");
-    }
-    if (const char *occ = envValue("MIDDLESIM_DIR_OCCUPANCY")) {
-        opt.dirOccupancy = sim::parseUnsigned("MIDDLESIM_DIR_OCCUPANCY",
-                                              occ, 0, kMaxDirOccupancy);
-    }
+    sim::applyEnv(opt.flags());
     return opt;
 }
 

@@ -18,6 +18,7 @@
 
 #include "core/experiment.hh"
 #include "core/metrics_io.hh"
+#include "sim/parse.hh"
 #include "stats/series.hh"
 #include "stats/table.hh"
 
@@ -49,19 +50,25 @@ struct FigureOptions
     static constexpr unsigned kMaxDirOccupancy = 1024;
 
     /**
-     * Honors MIDDLESIM_RUNS, MIDDLESIM_QUICK (=1: single run, 0.5x
-     * intervals), MIDDLESIM_TIMESCALE, MIDDLESIM_PROTOCOL
-     * (snoop|directory), MIDDLESIM_NUMA_NODES, MIDDLESIM_TOPOLOGY
-     * (ring|mesh) and MIDDLESIM_DIR_OCCUPANCY environment variables.
-     * An empty variable counts as unset; a malformed or out-of-range
-     * value is a fatal error naming the variable.
+     * The flag-table rows of these options, writing into *this:
+     * MIDDLESIM_RUNS, MIDDLESIM_QUICK (=1: single run, 0.5x
+     * intervals), MIDDLESIM_TIMESCALE, and --protocol, --numa-nodes,
+     * --topology and --dir-occupancy with their MIDDLESIM_*
+     * variables.
+     */
+    std::vector<sim::Flag> flags();
+
+    /**
+     * The environment-only pass over flags(). An empty variable
+     * counts as unset; a malformed or out-of-range value is a fatal
+     * error naming the variable.
      */
     static FigureOptions fromEnv();
 
     /**
      * Fatal unless the options describe a valid machine (e.g.
-     * --dir-occupancy without --protocol=directory). figureMain and
-     * runAllMain call this before any work is queued.
+     * --dir-occupancy without --protocol=directory). The campaign
+     * main calls this before any work is queued.
      */
     void validate() const;
 };
@@ -86,7 +93,7 @@ struct FigureResult
 
     /**
      * Per-grid-point metric snapshots of every simulation the figure
-     * consumed, keyed by pointName(). Serialized by --metrics-out.
+     * consumed, keyed by pointName(). Serialized by --metrics-dir.
      */
     MetricsMap metricsByPoint;
 

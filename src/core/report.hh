@@ -16,32 +16,6 @@ namespace middlesim::core
 /** Print one reproduced figure: header, table, checks, verdict. */
 void printFigure(const FigureResult &fig, std::ostream &os);
 
-/**
- * Apply the persistent-cache selection to the global RunCache:
- * `--no-cache` disables the disk layer, `--cache-dir=PATH` selects
- * it explicitly, and otherwise the MIDDLESIM_CACHE environment
- * variable (when set and non-empty) enables it. The in-process memo
- * is always active; outputs are byte-identical either way.
- */
-void configureRunCache(const std::string &cache_dir, bool no_cache);
-
-/**
- * Standard main() body for the per-figure bench binaries: runs the
- * harness with options from the environment, prints the report, and
- * returns 0 when every shape check passes (1 otherwise).
- *
- * When argv is forwarded, `--jobs=N` selects the worker count of the
- * process-wide thread pool (equivalent to MIDDLESIM_JOBS=N; the flag
- * wins). `--jobs=1` forces fully serial execution. `--cache-dir=PATH`
- * / `--no-cache` control the persistent run cache (see
- * configureRunCache); `--metrics-out=PATH` writes the figure's
- * metrics document. `--protocol=snoop|directory` and `--numa-nodes=N`
- * override the coherence protocol / NUMA topology of every measured
- * point (equivalent to MIDDLESIM_PROTOCOL / MIDDLESIM_NUMA_NODES).
- */
-int figureMain(FigureResult (*harness)(const FigureOptions &),
-               int argc = 0, char **argv = nullptr);
-
 } // namespace middlesim::core
 
 #endif // CORE_REPORT_HH

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -15,6 +16,7 @@
 #include "check/checker.hh"
 #include "core/cache.hh"
 #include "core/figures_internal.hh"
+#include "core/manycore.hh"
 #include "core/metrics_io.hh"
 #include "core/report.hh"
 #include "core/trace_run.hh"
@@ -35,12 +37,33 @@ struct FigureJob
     FigureResult (*harness)(const FigureOptions &);
 };
 
+/** Every figure a campaign can render; the first 13 are the paper's. */
 constexpr FigureJob kFigures[] = {
     {"fig04", runFig04}, {"fig05", runFig05}, {"fig06", runFig06},
     {"fig07", runFig07}, {"fig08", runFig08}, {"fig09", runFig09},
     {"fig10", runFig10}, {"fig11", runFig11}, {"fig12", runFig12},
     {"fig13", runFig13}, {"fig14", runFig14}, {"fig15", runFig15},
-    {"fig16", runFig16},
+    {"fig16", runFig16}, {"fig_manycore", runManycore},
+};
+constexpr std::size_t kPaperFigureCount = 13;
+
+const FigureJob &
+figureJob(const std::string &id)
+{
+    for (const FigureJob &job : kFigures) {
+        if (id == job.id)
+            return job;
+    }
+    fatal("run_all: unknown figure '", id, "'");
+}
+
+/** One leaf simulation of the campaign. */
+struct RunAllItem
+{
+    /** Content address: equal ids compute the same result. */
+    std::string id;
+    /** Compute the result into the RunCache (memory and disk). */
+    std::function<void()> run;
 };
 
 void
@@ -56,7 +79,8 @@ addGridItems(std::vector<RunAllItem> &items,
 /**
  * The leaf simulations figure `fig` consumes. Ids are content
  * addresses, so identical points requested by different figures
- * collapse to one unit of work.
+ * collapse to one unit of work. fig_manycore runs its own grid and
+ * contributes none.
  */
 std::vector<RunAllItem>
 figureWork(const std::string &fig, const FigureOptions &opt)
@@ -132,16 +156,17 @@ writeStatsJson(std::ostream &os, std::uint64_t requested,
 }
 
 /**
- * Render every figure (assembled from cache hits after the prefetch),
- * emitting exactly what the individual drivers would print.
+ * Render each figure (assembled from cache hits after the prefetch),
+ * emitting exactly what its single-figure driver would print.
  * @return true when every shape check passes.
  */
 bool
-renderFigures(const FigureOptions &opt, const std::string &metrics_dir)
+renderFigures(const std::vector<std::string> &figures,
+              const FigureOptions &opt, const std::string &metrics_dir)
 {
     bool all_pass = true;
-    for (const FigureJob &job : kFigures) {
-        const FigureResult fig = job.harness(opt);
+    for (const std::string &id : figures) {
+        const FigureResult fig = figureJob(id).harness(opt);
         printFigure(fig, std::cout);
         all_pass = all_pass && fig.allPass();
         if (!metrics_dir.empty()) {
@@ -157,15 +182,28 @@ renderFigures(const FigureOptions &opt, const std::string &metrics_dir)
     return all_pass;
 }
 
-} // namespace
+/**
+ * The canonical work queue of a campaign: every leaf simulation the
+ * figures need, deduplicated by content address, in a fixed
+ * enumeration order. The same options always yield the same
+ * sequence, so `--shard=i/N` processes partition it consistently.
+ */
+struct RunAllQueue
+{
+    /** Unique items, in canonical (figure enumeration) order. */
+    std::vector<RunAllItem> items;
+    /** Leaf points requested before deduplication. */
+    std::uint64_t requested = 0;
+};
 
 RunAllQueue
-buildRunAllQueue(const FigureOptions &opt)
+buildRunAllQueue(const std::vector<std::string> &figures,
+                 const FigureOptions &opt)
 {
     RunAllQueue queue;
     std::set<std::string> seen;
-    for (const FigureJob &job : kFigures) {
-        for (RunAllItem &item : figureWork(job.id, opt)) {
+    for (const std::string &id : figures) {
+        for (RunAllItem &item : figureWork(id, opt)) {
             ++queue.requested;
             if (seen.insert(item.id).second)
                 queue.items.push_back(std::move(item));
@@ -174,111 +212,97 @@ buildRunAllQueue(const FigureOptions &opt)
     return queue;
 }
 
-int
-runAllMain(int argc, char **argv)
+} // namespace
+
+const std::vector<std::string> &
+paperFigures()
 {
+    static const std::vector<std::string> ids = [] {
+        std::vector<std::string> v;
+        for (std::size_t i = 0; i < kPaperFigureCount; ++i)
+            v.push_back(kFigures[i].id);
+        return v;
+    }();
+    return ids;
+}
+
+int
+runAllMain(const std::vector<std::string> &figures, int argc,
+           char **argv)
+{
+    const std::string tool =
+        std::filesystem::path(argc > 0 ? argv[0] : "run_all")
+            .filename()
+            .string();
+
     std::string metrics_dir;
     std::string stats_out;
     std::string cache_dir;
     std::string trace_out;
     std::string trace_in;
-    std::string protocol_flag;
-    std::string topology_flag;
-    unsigned numa_nodes = 0;
-    long dir_occupancy = -1;
     bool no_cache = false;
     unsigned shard_index = 0;
     unsigned shard_count = 0; // 0 = not sharded
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--jobs=", 0) == 0) {
-            sim::ThreadPool::setGlobalJobs(sim::parseUnsigned(
-                "--jobs", arg.substr(7), 1, sim::ThreadPool::kMaxJobs));
-        } else if (arg.rfind("--metrics-dir=", 0) == 0) {
-            metrics_dir = arg.substr(14);
-            if (metrics_dir.empty())
-                fatal("run_all: bad flag '", arg,
-                      "' (want --metrics-dir=DIR)");
-        } else if (arg.rfind("--stats-out=", 0) == 0) {
-            stats_out = arg.substr(12);
-            if (stats_out.empty())
-                fatal("run_all: bad flag '", arg,
-                      "' (want --stats-out=PATH)");
-        } else if (arg.rfind("--cache-dir=", 0) == 0) {
-            cache_dir = arg.substr(12);
-            if (cache_dir.empty())
-                fatal("run_all: bad flag '", arg,
-                      "' (want --cache-dir=PATH)");
-        } else if (arg.rfind("--trace-out=", 0) == 0) {
-            trace_out = arg.substr(12);
-            if (trace_out.empty())
-                fatal("run_all: bad flag '", arg,
-                      "' (want --trace-out=DIR)");
-        } else if (arg.rfind("--trace-in=", 0) == 0) {
-            trace_in = arg.substr(11);
-            if (trace_in.empty())
-                fatal("run_all: bad flag '", arg,
-                      "' (want --trace-in=DIR)");
-        } else if (arg.rfind("--protocol=", 0) == 0) {
-            protocol_flag = arg.substr(11);
-            sim::CoherenceProtocol p;
-            if (!sim::parseProtocol(protocol_flag, p))
-                fatal("run_all: bad flag '", arg,
-                      "' (want --protocol=snoop|directory)");
-        } else if (arg.rfind("--numa-nodes=", 0) == 0) {
-            numa_nodes = sim::parseUnsigned("--numa-nodes", arg.substr(13),
-                                            1, FigureOptions::kMaxNumaNodes);
-        } else if (arg.rfind("--topology=", 0) == 0) {
-            topology_flag = arg.substr(11);
-            sim::Topology t;
-            if (!sim::parseTopology(topology_flag, t))
-                fatal("run_all: bad flag '", arg,
-                      "' (want --topology=ring|mesh)");
-        } else if (arg.rfind("--dir-occupancy=", 0) == 0) {
-            dir_occupancy = sim::parseUnsigned(
-                "--dir-occupancy", arg.substr(16), 0,
-                FigureOptions::kMaxDirOccupancy);
-        } else if (arg.rfind("--shard=", 0) == 0) {
-            const std::string v = arg.substr(8);
-            const std::size_t slash = v.find('/');
-            if (slash == std::string::npos)
-                fatal("--shard: '", v, "' is not i/N");
-            shard_count = sim::parseUnsigned(
-                "--shard", v.substr(slash + 1), 1,
-                std::numeric_limits<unsigned>::max());
-            shard_index = sim::parseUnsigned("--shard", v.substr(0, slash),
-                                             0, shard_count - 1);
-        } else if (arg == "--no-cache") {
-            no_cache = true;
-        } else if (arg == "--check") {
-            check::setCheckingEnabled(true);
-        } else {
-            fatal("run_all: unknown flag '", arg,
-                  "' (supported: --jobs=N, --metrics-dir=DIR, "
-                  "--stats-out=PATH, --cache-dir=PATH, --no-cache, "
-                  "--check, --trace-out=DIR, --trace-in=DIR, "
-                  "--protocol=snoop|directory, --numa-nodes=N, "
-                  "--topology=ring|mesh, --dir-occupancy=N, "
-                  "--shard=i/N)");
-        }
-    }
-
-    FigureOptions opt = FigureOptions::fromEnv();
-    if (!protocol_flag.empty())
-        sim::parseProtocol(protocol_flag, opt.protocol);
-    if (numa_nodes != 0)
-        opt.numaNodes = numa_nodes;
-    if (!topology_flag.empty())
-        sim::parseTopology(topology_flag, opt.topology);
-    if (dir_occupancy >= 0)
-        opt.dirOccupancy = static_cast<unsigned>(dir_occupancy);
+    FigureOptions opt;
+    std::vector<sim::Flag> rows = {
+        {"jobs", "MIDDLESIM_JOBS", "N",
+         "worker threads (default: hardware threads)",
+         [](const std::string &what, const std::string &text) {
+             sim::ThreadPool::setGlobalJobs(static_cast<unsigned>(
+                 sim::parseUnsigned(what, text, 1,
+                                    sim::ThreadPool::kMaxJobs)));
+         }},
+        {"cache-dir", "MIDDLESIM_CACHE", "DIR",
+         "persistent run cache directory", sim::store(cache_dir)},
+        {"no-cache", nullptr, nullptr, "skip the persistent run cache",
+         sim::storeTrue(no_cache)},
+        {"check", "MIDDLESIM_CHECK", nullptr,
+         "arm every invariant checker (implies --no-cache)",
+         [](const std::string &, const std::string &) {
+             check::setCheckingEnabled(true);
+         }},
+        {"metrics-dir", nullptr, "DIR",
+         "write each figure's metrics to DIR/<id>.json",
+         sim::store(metrics_dir)},
+        {"stats-out", nullptr, "PATH",
+         "write dedupe and cache statistics as JSON",
+         sim::store(stats_out)},
+        {"trace-out", nullptr, "DIR",
+         "record execution-driven runs' reference streams",
+         sim::store(trace_out)},
+        {"trace-in", nullptr, "DIR",
+         "replay the Figure 12/13 sweeps from recordings",
+         sim::store(trace_in)},
+        {nullptr, "MIDDLESIM_TRACE", "DIR",
+         "--trace-out and --trace-in at once (flags win)",
+         [&](const std::string &, const std::string &text) {
+             if (trace_out.empty() && trace_in.empty())
+                 trace_out = trace_in = text;
+         }},
+        {"shard", nullptr, "I/N",
+         "only fill --cache-dir with every N-th point from I on",
+         [&](const std::string &what, const std::string &text) {
+             const std::size_t slash = text.find('/');
+             if (slash == std::string::npos)
+                 fatal(what, ": '", text, "' is not i/N");
+             shard_count = static_cast<unsigned>(sim::parseUnsigned(
+                 what, text.substr(slash + 1), 1,
+                 std::numeric_limits<unsigned>::max()));
+             shard_index = static_cast<unsigned>(sim::parseUnsigned(
+                 what, text.substr(0, slash), 0, shard_count - 1));
+         }},
+    };
+    for (sim::Flag &row : opt.flags())
+        rows.push_back(std::move(row));
+    sim::parseFlags(tool, rows, argc, argv);
     opt.validate();
 
     // A cached result was produced without the checkers watching;
     // checking is only meaningful for runs that actually execute.
     const bool checking = check::checkingEnabled();
-    configureRunCache(cache_dir, no_cache || checking);
-    configureTracingFromFlags(trace_out, trace_in);
+    if (!no_cache && !checking && !cache_dir.empty())
+        RunCache::global().setDiskDir(cache_dir);
+    configureTracing(trace_out, trace_in);
 
     // A shard only fills the shared disk cache; anything that needs
     // the results in this process (or skips the cache) is refused.
@@ -302,13 +326,15 @@ runAllMain(int argc, char **argv)
 
     // Global work queue: every leaf every figure needs, deduplicated
     // by content address.
-    RunAllQueue queue = buildRunAllQueue(opt);
+    RunAllQueue queue = buildRunAllQueue(figures, opt);
     std::vector<RunAllItem> &items = queue.items;
     const std::uint64_t unique = items.size();
     std::fprintf(stderr,
-                 "run_all: %llu leaf points requested by 13 figures, "
+                 "%s: %llu leaf points requested by %zu figure%s, "
                  "%zu unique after dedupe (jobs=%u)\n",
+                 tool.c_str(),
                  static_cast<unsigned long long>(queue.requested),
+                 figures.size(), figures.size() == 1 ? "" : "s",
                  items.size(), sim::ThreadPool::global().jobs());
 
     // A shard keeps every N-th unique item, from its index on.
@@ -317,8 +343,9 @@ runAllMain(int argc, char **argv)
         for (std::size_t i = shard_index; i < items.size();
              i += shard_count)
             mine.push_back(std::move(items[i]));
-        std::fprintf(stderr, "run_all: shard %u/%u runs %zu of them\n",
-                     shard_index, shard_count, mine.size());
+        std::fprintf(stderr, "%s: shard %u/%u runs %zu of them\n",
+                     tool.c_str(), shard_index, shard_count,
+                     mine.size());
         items = std::move(mine);
     }
 
@@ -331,13 +358,13 @@ runAllMain(int argc, char **argv)
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - t_start)
             .count();
-    std::fprintf(stderr, "run_all: prefetch done in %.2f s\n",
+    std::fprintf(stderr, "%s: prefetch done in %.2f s\n", tool.c_str(),
                  prefetch_seconds);
 
     // A shard stops here: a later run over the same --cache-dir
     // renders.
     const bool all_pass =
-        shard_count != 0 || renderFigures(opt, metrics_dir);
+        shard_count != 0 || renderFigures(figures, opt, metrics_dir);
 
     if (!stats_out.empty()) {
         std::ofstream os(stats_out);

@@ -8,7 +8,7 @@
  * a spec lives alongside its cached results and either can reproduce
  * the other's numbers.
  *
- * Workflow (wired through the figure drivers and bench/run_all):
+ * Workflow (wired through the campaign runner, core/run_all.hh):
  *   --trace-out=DIR  record every execution-driven leaf run into
  *                    DIR/trace-<hash>.mst (skipped when the file
  *                    already exists);
@@ -38,13 +38,6 @@ namespace middlesim::core
 /** Set the recording / replay directories ("" disables either). */
 void configureTracing(const std::string &out_dir,
                       const std::string &in_dir);
-
-/**
- * Driver entry point: apply --trace-out / --trace-in values, falling
- * back to MIDDLESIM_TRACE (which sets both, i.e. record on miss and
- * replay on hit) when neither flag was given.
- */
-void configureTracingFromFlags(std::string out_dir, std::string in_dir);
 
 const std::string &traceOutDir();
 const std::string &traceInDir();

@@ -1,7 +1,7 @@
 #include "core/trace_tool.hh"
 
 #include <cstdio>
-#include <cstdlib>
+#include <iostream>
 #include <string>
 #include <vector>
 
@@ -9,6 +9,7 @@
 #include "core/metrics_io.hh"
 #include "core/trace_run.hh"
 #include "sim/log.hh"
+#include "sim/parse.hh"
 #include "trace/reader.hh"
 
 namespace middlesim::core
@@ -16,26 +17,6 @@ namespace middlesim::core
 
 namespace
 {
-
-int
-usage()
-{
-    std::fprintf(
-        stderr,
-        "usage: middlesim-trace <command> [args]\n"
-        "  info FILE                  header + record counts\n"
-        "  validate FILE              structural validation\n"
-        "  timeline FILE [--limit=N]  annotation timeline\n"
-        "  record --out=FILE [--workload=specjbb|ecperf --app-cpus=N\n"
-        "         --total-cpus=N --cpus-per-l2=N --scale=N --seed=N\n"
-        "         --warmup=T --measure=T --track-comm]\n"
-        "  replay FILE [--l2-kb=N --cpus-per-l2=N]\n"
-        "  sweep FILE [--mode=auto|legacy|single-pass|per-config]\n"
-        "                             Figure 12/13 cache sweep\n"
-        "  sharing FILE [--mode=single-pass|per-degree]\n"
-        "                             Figure 16 shared-L2 what-if\n");
-    return 1;
-}
 
 /** Load a trace file or fail loudly. */
 std::string
@@ -45,15 +26,6 @@ loadTrace(const std::string &path)
     if (!trace::readTraceFile(path, data))
         fatal("middlesim-trace: cannot read '", path, "'");
     return data;
-}
-
-std::uint64_t
-parseU64(const std::string &arg, std::size_t prefix)
-{
-    const std::string v = arg.substr(prefix);
-    if (v.empty())
-        fatal("middlesim-trace: bad flag '", arg, "'");
-    return std::strtoull(v.c_str(), nullptr, 10);
 }
 
 void
@@ -161,54 +133,9 @@ cmdTimeline(const std::string &path, std::uint64_t limit)
     return 0;
 }
 
-/** Parse the shared spec flags of `record`. */
-ExperimentSpec
-specFromFlags(const std::vector<std::string> &flags, std::string &out)
-{
-    ExperimentSpec spec;
-    spec.appCpus = 1;
-    spec.totalCpus = 1;
-    spec.warmup = 2'000'000;
-    spec.measure = 4'000'000;
-    for (const std::string &arg : flags) {
-        if (arg.rfind("--out=", 0) == 0) {
-            out = arg.substr(6);
-        } else if (arg.rfind("--workload=", 0) == 0) {
-            const std::string kind = arg.substr(11);
-            if (kind == "specjbb")
-                spec.workload = WorkloadKind::SpecJbb;
-            else if (kind == "ecperf")
-                spec.workload = WorkloadKind::Ecperf;
-            else
-                fatal("middlesim-trace: unknown workload '", kind, "'");
-        } else if (arg.rfind("--app-cpus=", 0) == 0) {
-            spec.appCpus = static_cast<unsigned>(parseU64(arg, 11));
-        } else if (arg.rfind("--total-cpus=", 0) == 0) {
-            spec.totalCpus = static_cast<unsigned>(parseU64(arg, 13));
-        } else if (arg.rfind("--cpus-per-l2=", 0) == 0) {
-            spec.cpusPerL2 = static_cast<unsigned>(parseU64(arg, 14));
-        } else if (arg.rfind("--scale=", 0) == 0) {
-            spec.scale = static_cast<unsigned>(parseU64(arg, 8));
-        } else if (arg.rfind("--seed=", 0) == 0) {
-            spec.seed = parseU64(arg, 7);
-        } else if (arg.rfind("--warmup=", 0) == 0) {
-            spec.warmup = parseU64(arg, 9);
-        } else if (arg.rfind("--measure=", 0) == 0) {
-            spec.measure = parseU64(arg, 10);
-        } else if (arg == "--track-comm") {
-            spec.trackCommunication = true;
-        } else {
-            fatal("middlesim-trace: unknown record flag '", arg, "'");
-        }
-    }
-    return spec;
-}
-
 int
-cmdRecord(const std::vector<std::string> &flags)
+cmdRecord(const ExperimentSpec &spec, const std::string &out)
 {
-    std::string out;
-    const ExperimentSpec spec = specFromFlags(flags, out);
     if (out.empty())
         fatal("middlesim-trace: record requires --out=FILE");
     const TraceRecordOutcome rec = recordTraceRun(spec, out);
@@ -243,18 +170,8 @@ printMissBreakdown(const mem::CacheStats &s, std::uint64_t touched)
 
 int
 cmdReplay(const std::string &path,
-          const std::vector<std::string> &flags)
+          const trace::ReplayOverrides &overrides)
 {
-    trace::ReplayOverrides overrides;
-    for (const std::string &arg : flags) {
-        if (arg.rfind("--l2-kb=", 0) == 0)
-            overrides.l2SizeBytes = parseU64(arg, 8) << 10;
-        else if (arg.rfind("--cpus-per-l2=", 0) == 0)
-            overrides.cpusPerL2 =
-                static_cast<unsigned>(parseU64(arg, 14));
-        else
-            fatal("middlesim-trace: unknown replay flag '", arg, "'");
-    }
     HierarchyReplayOutcome out =
         replayTraceHierarchy(loadTrace(path), overrides);
     if (!out.valid)
@@ -268,19 +185,11 @@ cmdReplay(const std::string &path,
 }
 
 int
-cmdSweep(const std::string &path,
-         const std::vector<std::string> &flags)
+cmdSweep(const std::string &path, const std::string &mode)
 {
     // Mode only selects how the counts are computed; stdout is
     // byte-identical across modes (mode info goes to stderr) so the
     // equivalence harness can diff the outputs directly.
-    std::string mode = "auto";
-    for (const std::string &arg : flags) {
-        if (arg.rfind("--mode=", 0) == 0)
-            mode = arg.substr(7);
-        else
-            fatal("middlesim-trace: unknown sweep flag '", arg, "'");
-    }
     SweepReplayOutcome out;
     if (mode == "auto")
         out = replayTraceSweep(loadTrace(path));
@@ -328,19 +237,11 @@ printSharingRow(unsigned share, const HierarchyReplayOutcome &out,
 }
 
 int
-cmdSharing(const std::string &path,
-           const std::vector<std::string> &flags)
+cmdSharing(const std::string &path, const std::string &mode)
 {
     // Default: single-pass fan-out (one decode, all degrees).
     // --mode=per-degree replays the stream once per degree; the two
     // modes print byte-identical stdout (mode info on stderr).
-    std::string mode = "single-pass";
-    for (const std::string &arg : flags) {
-        if (arg.rfind("--mode=", 0) == 0)
-            mode = arg.substr(7);
-        else
-            fatal("middlesim-trace: unknown sharing flag '", arg, "'");
-    }
     if (mode != "single-pass" && mode != "per-degree")
         fatal("middlesim-trace: unknown sharing mode '", mode, "'");
 
@@ -377,47 +278,156 @@ cmdSharing(const std::string &path,
     return 0;
 }
 
+/** Everything a subcommand's flags can set. */
+struct Args
+{
+    ExperimentSpec spec;
+    std::string out;
+    trace::ReplayOverrides overrides;
+    std::string sweepMode = "auto";
+    std::string sharingMode = "single-pass";
+    std::uint64_t limit = 100;
+
+    Args()
+    {
+        spec.appCpus = 1;
+        spec.totalCpus = 1;
+        spec.warmup = 2'000'000;
+        spec.measure = 4'000'000;
+    }
+};
+
+struct Command
+{
+    const char *name;
+    /** Placeholder of the one positional argument; nullptr = none. */
+    const char *file;
+    const char *help;
+};
+
+constexpr Command kCommands[] = {
+    {"info", "FILE", "header + record counts"},
+    {"validate", "FILE", "structural validation (exit 0 iff valid)"},
+    {"timeline", "FILE", "annotation timeline"},
+    {"record", nullptr, "execution-driven run recorded to --out"},
+    {"replay", "FILE", "replay into a rebuilt hierarchy: miss breakdown"},
+    {"sweep", "FILE", "Figure 12/13 cache sweep"},
+    {"sharing", "FILE", "Figure 16 shared-L2 what-if"},
+};
+
+std::vector<sim::Flag>
+commandFlags(const std::string &cmd, Args &a)
+{
+    if (cmd == "timeline")
+        return {{"limit", nullptr, "N", "annotations shown (100)",
+                 sim::store(a.limit, 0)}};
+    if (cmd == "record") {
+        return {
+            {"out", nullptr, "FILE", "trace file to write (required)",
+             sim::store(a.out)},
+            {"workload", nullptr, "specjbb|ecperf", "workload (specjbb)",
+             [&a](const std::string &what, const std::string &text) {
+                 if (text == "specjbb")
+                     a.spec.workload = WorkloadKind::SpecJbb;
+                 else if (text == "ecperf")
+                     a.spec.workload = WorkloadKind::Ecperf;
+                 else
+                     fatal(what, ": unknown workload '", text, "'");
+             }},
+            {"app-cpus", nullptr, "N", "application CPUs (1)",
+             sim::store(a.spec.appCpus, 1)},
+            {"total-cpus", nullptr, "N", "machine CPUs (1)",
+             sim::store(a.spec.totalCpus, 1)},
+            {"cpus-per-l2", nullptr, "N", "CPUs sharing an L2",
+             sim::store(a.spec.cpusPerL2, 1)},
+            {"scale", nullptr, "N", "workload scale factor",
+             sim::store(a.spec.scale, 1)},
+            {"seed", nullptr, "N", "seed", sim::store(a.spec.seed, 0)},
+            {"warmup", nullptr, "T", "warmup ticks (2000000)",
+             sim::store(a.spec.warmup, 0)},
+            {"measure", nullptr, "T", "measured ticks (4000000)",
+             sim::store(a.spec.measure, 1)},
+            {"track-comm", nullptr, nullptr,
+             "track producer-consumer communication",
+             sim::storeTrue(a.spec.trackCommunication)},
+        };
+    }
+    if (cmd == "replay") {
+        return {
+            {"l2-kb", nullptr, "N", "L2 size in KB (as recorded)",
+             [&a](const std::string &what, const std::string &text) {
+                 a.overrides.l2SizeBytes =
+                     sim::parseUnsigned(what, text, 1, 1u << 30) << 10;
+             }},
+            {"cpus-per-l2", nullptr, "N",
+             "CPUs sharing an L2 (as recorded)",
+             sim::store(a.overrides.cpusPerL2, 1)},
+        };
+    }
+    if (cmd == "sweep")
+        return {{"mode", nullptr, "auto|legacy|single-pass|per-config",
+                 "sweep engine (auto); stdout is the same for all",
+                 sim::store(a.sweepMode)}};
+    if (cmd == "sharing")
+        return {{"mode", nullptr, "single-pass|per-degree",
+                 "replay strategy (single-pass); stdout is the same",
+                 sim::store(a.sharingMode)}};
+    return {};
+}
+
+/** Every command's flag table; --help prints it, usage errors too. */
+void
+printHelp(std::ostream &os)
+{
+    os << "usage: middlesim-trace <command> [flags] [FILE]\n";
+    for (const Command &c : kCommands) {
+        Args a;
+        os << '\n' << c.name << ": " << c.help << '\n';
+        sim::printUsage(os, std::string("middlesim-trace ") + c.name,
+                        commandFlags(c.name, a), c.file);
+    }
+}
+
 } // namespace
 
 int
 traceToolMain(int argc, char **argv)
 {
-    if (argc < 2)
-        return usage();
-    const std::string cmd = argv[1];
-    std::vector<std::string> rest;
-    for (int i = 2; i < argc; ++i)
-        rest.emplace_back(argv[i]);
-
-    if (cmd == "record")
-        return cmdRecord(rest);
-    if (rest.empty())
-        return usage();
-
-    const std::string path = rest.front();
-    rest.erase(rest.begin());
-    if (cmd == "info" && rest.empty())
-        return cmdInfo(path);
-    if (cmd == "validate" && rest.empty())
-        return cmdValidate(path);
-    if (cmd == "timeline") {
-        std::uint64_t limit = 100;
-        for (const std::string &arg : rest) {
-            if (arg.rfind("--limit=", 0) == 0)
-                limit = parseU64(arg, 8);
-            else
-                fatal("middlesim-trace: unknown timeline flag '", arg,
-                      "'");
-        }
-        return cmdTimeline(path, limit);
+    const std::string cmd = argc > 1 ? argv[1] : "";
+    if (cmd == "--help") {
+        printHelp(std::cout);
+        return 0;
     }
+    const Command *command = nullptr;
+    for (const Command &c : kCommands) {
+        if (cmd == c.name)
+            command = &c;
+    }
+    if (!command) {
+        printHelp(std::cerr);
+        return 1;
+    }
+
+    Args a;
+    const std::string tool = "middlesim-trace " + cmd;
+    const std::string path = sim::parseFlags(
+        tool, commandFlags(cmd, a), argc - 1, argv + 1, command->file);
+    if (command->file && path.empty())
+        fatal(tool, ": needs ", command->file, " (see --help)");
+
+    if (cmd == "info")
+        return cmdInfo(path);
+    if (cmd == "validate")
+        return cmdValidate(path);
+    if (cmd == "timeline")
+        return cmdTimeline(path, a.limit);
+    if (cmd == "record")
+        return cmdRecord(a.spec, a.out);
     if (cmd == "replay")
-        return cmdReplay(path, rest);
+        return cmdReplay(path, a.overrides);
     if (cmd == "sweep")
-        return cmdSweep(path, rest);
-    if (cmd == "sharing")
-        return cmdSharing(path, rest);
-    return usage();
+        return cmdSweep(path, a.sweepMode);
+    return cmdSharing(path, a.sharingMode);
 }
 
 } // namespace middlesim::core

@@ -29,6 +29,8 @@ namespace middlesim::core
  *   sharing FILE         replay at every shared-L2 degree dividing the
  *                        recorded machine (Figure 16 what-if)
  *
+ * `middlesim-trace --help` lists every command's flags.
+ *
  * @return 0 on success / valid trace, 1 otherwise.
  */
 int traceToolMain(int argc, char **argv);

@@ -19,8 +19,10 @@
 #define MEM_FAULT_HH
 
 #include <cstdint>
+#include <string>
 
 #include "mem/memref.hh"
+#include "sim/log.hh"
 
 namespace middlesim::mem
 {
@@ -100,6 +102,29 @@ toString(FaultPlan::Kind k)
       case FaultPlan::Kind::NackStorm:            return "nack-storm";
     }
     return "?";
+}
+
+/**
+ * Parse a fault kind: a toString() name, or the aliases "skip-l1" and
+ * "drop-inval-ack". Anything else is a fatal error naming `what`.
+ */
+inline FaultPlan::Kind
+parseFaultKind(const std::string &what, const std::string &name)
+{
+    using Kind = FaultPlan::Kind;
+    for (Kind k : {Kind::None, Kind::DropInvalidate,
+                   Kind::KeepOwnerOnSnoop, Kind::SkipL1BackInvalidate,
+                   Kind::DropInvalAck, Kind::NackStorm}) {
+        if (name == toString(k))
+            return k;
+    }
+    if (name == "skip-l1")
+        return Kind::SkipL1BackInvalidate;
+    if (name == "drop-inval-ack")
+        return Kind::DropInvalAck;
+    fatal(what, ": unknown fault '", name,
+          "' (want none, drop-invalidate, keep-owner, skip-l1, "
+          "drop-ack or nack-storm)");
 }
 
 } // namespace middlesim::mem

@@ -71,21 +71,18 @@ toString(CoherenceProtocol p)
 
 /**
  * Parse a protocol name. Accepts "snoop"/"bus"/"mosi" and
- * "directory"/"dir"/"mesi". @return false on an unknown name (`out`
- * is left untouched).
+ * "directory"/"dir"/"mesi"; anything else is a fatal error naming
+ * `what`.
  */
-inline bool
-parseProtocol(const std::string &name, CoherenceProtocol &out)
+inline CoherenceProtocol
+parseProtocol(const std::string &what, const std::string &name)
 {
-    if (name == "snoop" || name == "bus" || name == "mosi") {
-        out = CoherenceProtocol::SnoopBus;
-        return true;
-    }
-    if (name == "directory" || name == "dir" || name == "mesi") {
-        out = CoherenceProtocol::DirectoryMesi;
-        return true;
-    }
-    return false;
+    if (name == "snoop" || name == "bus" || name == "mosi")
+        return CoherenceProtocol::SnoopBus;
+    if (name == "directory" || name == "dir" || name == "mesi")
+        return CoherenceProtocol::DirectoryMesi;
+    fatal(what, ": unknown protocol '", name,
+          "' (want snoop or directory)");
 }
 
 /**
@@ -109,21 +106,17 @@ toString(Topology t)
 }
 
 /**
- * Parse a topology name. Accepts "ring" and "mesh"/"mesh2d"/"torus".
- * @return false on an unknown name (`out` is left untouched).
+ * Parse a topology name. Accepts "ring" and "mesh"/"mesh2d"/"torus";
+ * anything else is a fatal error naming `what`.
  */
-inline bool
-parseTopology(const std::string &name, Topology &out)
+inline Topology
+parseTopology(const std::string &what, const std::string &name)
 {
-    if (name == "ring") {
-        out = Topology::Ring;
-        return true;
-    }
-    if (name == "mesh" || name == "mesh2d" || name == "torus") {
-        out = Topology::Mesh;
-        return true;
-    }
-    return false;
+    if (name == "ring")
+        return Topology::Ring;
+    if (name == "mesh" || name == "mesh2d" || name == "torus")
+        return Topology::Mesh;
+    fatal(what, ": unknown topology '", name, "' (want ring or mesh)");
 }
 
 /** Configuration of the modeled multiprocessor. */

@@ -15,7 +15,7 @@
  *
  * The process-wide pool used by the experiment runner honors the
  * MIDDLESIM_JOBS environment variable (default: hardware
- * concurrency); figureMain() additionally accepts a --jobs=N flag.
+ * concurrency); every figure binary also accepts a --jobs=N flag.
  */
 
 #ifndef SIM_THREADPOOL_HH

@@ -77,9 +77,10 @@ make_figures() {
     for f in $figures; do
         cat > "$dir/$f" <<'EOF'
 #!/bin/bash
+id=$(basename "$0")
 for a in "$@"; do
     case "$a" in
-    --metrics-out=*) echo '{}' > "${a#--metrics-out=}" ;;
+    --metrics-dir=*) echo '{}' > "${a#--metrics-dir=}/${id%%_*}.json" ;;
     esac
 done
 echo "figure $(basename "$0") table"

@@ -3,7 +3,7 @@
 # of run_all must equal the concatenated stdouts of the 13 individual
 # figure drivers, whether the disk cache is off, cold, or warm, and at
 # any --jobs count; per-figure metrics documents must equal the
-# drivers' --metrics-out files. Runs time-compressed (shape checks may
+# drivers' --metrics-dir files. Runs time-compressed (shape checks may
 # FAIL at this scale — only identity is asserted), so driver exit
 # status 1 is tolerated; any other nonzero status is a crash and fails
 # the test loudly.
@@ -65,7 +65,7 @@ echo "# individual drivers" >&2
 for f in $figures; do
     id="${f%%_*}"
     run_tolerant "$workdir/$id.solo.out" "$bindir/$f" --jobs=1 \
-        --metrics-out="$workdir/metrics_solo/$id.json"
+        --metrics-dir="$workdir/metrics_solo"
     [ -s "$workdir/$id.solo.out" ] ||
         fail "driver $f produced no output"
     [ -s "$workdir/metrics_solo/$id.json" ] ||

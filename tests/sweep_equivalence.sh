@@ -5,9 +5,7 @@
 # legacy walk, per-configuration replay) and from `middlesim-trace
 # sharing` across single-pass fan-out and per-degree replay. The
 # paper sweep is an inclusion chain, so equivalence here is strict —
-# no tolerance. (The tolerance of the opt-in set-sampling
-# approximation is stated and enforced in tests/test_stackdist.cpp,
-# which CI runs separately.)
+# no tolerance.
 #
 # Usage: sweep_equivalence.sh <build/bench dir>
 #

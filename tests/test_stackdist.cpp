@@ -3,8 +3,7 @@
  * Stack/reuse-distance engine tests: Fenwick primitive, exact
  * equivalence of the single-pass engines against the naive
  * per-configuration CacheArray walk across randomized geometries and
- * streams, critical-histogram invariants, and the stated tolerance of
- * the opt-in set-sampling approximation.
+ * streams, and critical-histogram invariants.
  *
  * The randomized passes reuse the seeded stress RNG (sim::Rng) so
  * every failure is reproducible from the printed seed. Set
@@ -21,7 +20,6 @@
 #include "mem/stackdist/fenwick.hh"
 #include "mem/stackdist/refinement.hh"
 #include "mem/stackdist/reuse.hh"
-#include "mem/stackdist/sampled.hh"
 #include "mem/sweep.hh"
 #include "sim/rng.hh"
 
@@ -310,59 +308,6 @@ TEST(Refinement, ResetCountersKeepsContents)
     EXPECT_EQ(refine.accesses(), 2u);
     for (std::size_t i = 0; i < configs.size(); ++i)
         EXPECT_EQ(refine.misses(i), 0u) << "config " << i;
-}
-
-TEST(SetSampled, ExactWhenSamplingDisabled)
-{
-    // sampleBits=0 samples every set: must equal the exact engine.
-    const auto configs = SweepSimulator::paperSweep();
-    mem::stackdist::SetSampledSweep sampled(configs, 0);
-    mem::stackdist::RefinementSweep exact(configs);
-    sim::Rng rng(0x5A3Du);
-    mem::Addr cursor = 0;
-    for (int step = 0; step < 20000; ++step) {
-        const mem::MemRef ref = nextRef(rng, cursor);
-        const bool count = ref.type != AccessType::BlockStore;
-        sampled.access(ref.addr, count);
-        exact.access(ref.addr, count);
-    }
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        EXPECT_EQ(sampled.sampleFactor(i), 1u);
-        EXPECT_EQ(sampled.estimatedMisses(i), exact.misses(i))
-            << "config " << i;
-    }
-}
-
-TEST(SetSampled, EstimateWithinStatedTolerance)
-{
-    // The stated tolerance of the opt-in approximation: on seeded
-    // clustered streams, 1-in-4 set sampling estimates each
-    // configuration's miss count within 25% relative error (with a
-    // small absolute floor for near-zero counts). Deterministic under
-    // the fixed seeds; the nightly deep pass re-checks more seeds.
-    const auto configs = SweepSimulator::paperSweep();
-    const int trials = deepSweep() ? 20 : 4;
-    for (int trial = 0; trial < trials; ++trial) {
-        mem::stackdist::SetSampledSweep sampled(configs, 2);
-        mem::stackdist::RefinementSweep exact(configs);
-        sim::Rng rng(0x7A8B0000u + static_cast<std::uint64_t>(trial));
-        mem::Addr cursor = 0;
-        for (int step = 0; step < 60000; ++step) {
-            const mem::MemRef ref = nextRef(rng, cursor);
-            const bool count = ref.type != AccessType::BlockStore;
-            sampled.access(ref.addr, count);
-            exact.access(ref.addr, count);
-        }
-        for (std::size_t i = 0; i < configs.size(); ++i) {
-            const double est =
-                static_cast<double>(sampled.estimatedMisses(i));
-            const double ref =
-                static_cast<double>(exact.misses(i));
-            const double slack = std::max(0.25 * ref, 200.0);
-            EXPECT_NEAR(est, ref, slack)
-                << "trial " << trial << " config " << i;
-        }
-    }
 }
 
 TEST(SweepEngine, FullyAssociativeLadderUsesReuseTracker)
