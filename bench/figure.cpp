@@ -6,6 +6,7 @@
  * paper's 13 figures. See core/run_all.hh for the flags.
  */
 
+#include "core/figures.hh"
 #include "core/run_all.hh"
 
 int

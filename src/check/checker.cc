@@ -1,5 +1,6 @@
 #include "check/checker.hh"
 
+#include <atomic>
 #include <cstdlib>
 
 #include "check/jvm_checker.hh"
@@ -50,11 +51,14 @@ Checker::finalize(sim::Tick now)
 namespace
 {
 
-/** -1 = not yet resolved from the environment. */
-int &
+/**
+ * -1 = not yet resolved from the environment. Atomic: pool workers
+ * building Systems may resolve it concurrently (to the same value).
+ */
+std::atomic<int> &
 checkState()
 {
-    static int state = -1;
+    static std::atomic<int> state{-1};
     return state;
 }
 
@@ -63,7 +67,7 @@ checkState()
 bool
 checkingEnabled()
 {
-    int &s = checkState();
+    std::atomic<int> &s = checkState();
     if (s < 0) {
         const char *env = std::getenv("MIDDLESIM_CHECK");
         s = env && env[0] != '\0'

@@ -591,27 +591,4 @@ RunCache::storeDisk(const std::string &kind, const std::string &key,
     }
 }
 
-// ---------------------------------------------------------------------
-// Cached experiment execution
-// ---------------------------------------------------------------------
-
-RunResult
-cachedRunExperiment(const ExperimentSpec &spec)
-{
-    const std::string key = encodeSpecKey(spec);
-    RunCache &cache = RunCache::global();
-
-    std::string payload;
-    if (cache.fetch("run", key, payload)) {
-        RunResult cached;
-        if (decodeRunResult(payload, cached))
-            return cached;
-        warn("cache: undecodable 'run' payload; re-simulating");
-    }
-
-    RunResult fresh = runExperiment(spec);
-    cache.store("run", key, encodeRunResult(fresh));
-    return fresh;
-}
-
 } // namespace middlesim::core

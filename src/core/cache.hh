@@ -12,7 +12,7 @@
  *  - an always-on in-process memo, so duplicate (spec, seed) points
  *    in one process simulate exactly once, and
  *  - an optional on-disk cache (--cache-dir=PATH / MIDDLESIM_CACHE,
- *    `middlesim-cache-v2` file format), so whole figure drivers can
+ *    cacheSchemaVersion file format), so whole figure drivers can
  *    re-run near-instantly across processes.
  *
  * The payload codecs round-trip bit-exactly (doubles travel as
@@ -133,13 +133,6 @@ class RunCache
     std::map<std::pair<std::string, std::string>, std::string> memo_;
     Stats stats_;
 };
-
-/**
- * runExperiment() through the content-addressed cache: compute the
- * spec key, fetch (memo, then disk), simulate on a miss and store.
- * Results are byte-identical to an uncached runExperiment() call.
- */
-RunResult cachedRunExperiment(const ExperimentSpec &spec);
 
 } // namespace middlesim::core
 

@@ -1,36 +1,12 @@
 #include "core/experiment.hh"
 
-#include <atomic>
-#include <map>
-
-#include "core/cache.hh"
+#include "core/leaves.hh"
 #include "core/metrics_io.hh"
 #include "core/trace_run.hh"
 #include "sim/log.hh"
-#include "sim/threadpool.hh"
 
 namespace middlesim::core
 {
-
-namespace
-{
-/** Process-wide dedupe accounting (reported by run_all / benches). */
-std::atomic<std::uint64_t> gridRequested{0};
-std::atomic<std::uint64_t> gridUnique{0};
-} // namespace
-
-GridDedupeStats
-gridDedupeStats()
-{
-    return {gridRequested.load(), gridUnique.load()};
-}
-
-void
-resetGridDedupeStats()
-{
-    gridRequested = 0;
-    gridUnique = 0;
-}
 
 unsigned
 ExperimentSpec::resolvedScale() const
@@ -190,32 +166,14 @@ repeatedSpec(const ExperimentSpec &spec, unsigned r)
 std::vector<RunResult>
 runGrid(const std::vector<ExperimentSpec> &specs)
 {
-    // Dedupe identical (spec, seed) points by content address: each
-    // unique point simulates once (through the run cache); every
-    // requester of a duplicate receives the same RunResult and shares
-    // the same metrics snapshot.
-    std::vector<std::size_t> firstIndex;
-    std::vector<std::size_t> uniqueOf(specs.size());
-    std::map<std::string, std::size_t> byKey;
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        auto [it, inserted] =
-            byKey.emplace(encodeSpecKey(specs[i]), firstIndex.size());
-        if (inserted)
-            firstIndex.push_back(i);
-        uniqueOf[i] = it->second;
-    }
-    gridRequested += specs.size();
-    gridUnique += firstIndex.size();
-
-    std::vector<RunResult> uniqueResults(firstIndex.size());
-    sim::ThreadPool::global().parallelFor(
-        firstIndex.size(), [&](std::size_t u) {
-            uniqueResults[u] = cachedRunExperiment(specs[firstIndex[u]]);
-        });
-
-    std::vector<RunResult> results(specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i)
-        results[i] = uniqueResults[uniqueOf[i]];
+    std::vector<Leaf> leaves;
+    leaves.reserve(specs.size());
+    for (const ExperimentSpec &spec : specs)
+        leaves.push_back({LeafKind::Run, spec});
+    std::vector<RunResult> results;
+    results.reserve(specs.size());
+    for (LeafResult &result : fetchLeaves(leaves))
+        results.push_back(std::get<RunResult>(std::move(result)));
     return results;
 }
 

@@ -156,27 +156,18 @@ ExperimentSpec repeatedSpec(const ExperimentSpec &spec, unsigned r);
 
 /**
  * Run every spec as an isolated simulation (its own System, its own
- * Rng stream) and return the results in submission order. Points are
- * fanned out across the process-wide thread pool (MIDDLESIM_JOBS or
- * --jobs=N; default hardware concurrency); because each run is
- * self-contained and seed-derived, the results are byte-identical to
- * serial execution for any job count.
+ * Rng stream) and return the results in submission order: fetchLeaves()
+ * (core/leaves.hh) over run leaves. Points are fanned out across the
+ * process-wide thread pool (MIDDLESIM_JOBS or --jobs=N; default
+ * hardware concurrency); because each run is self-contained and
+ * seed-derived, the results are byte-identical to serial execution
+ * for any job count.
  *
  * Identical (spec, seed) points are deduplicated by content address
  * (core/cache.hh): each unique point simulates at most once per
  * process, and duplicates share the one RunResult + metrics snapshot.
  */
 std::vector<RunResult> runGrid(const std::vector<ExperimentSpec> &specs);
-
-/** Cumulative runGrid dedupe accounting since process start / reset. */
-struct GridDedupeStats
-{
-    std::uint64_t requested = 0;
-    std::uint64_t unique = 0;
-};
-
-GridDedupeStats gridDedupeStats();
-void resetGridDedupeStats();
 
 /** Run `runs` seeds of the same spec (variability methodology). */
 std::vector<RunResult> runRepeated(const ExperimentSpec &spec,

@@ -1,15 +1,16 @@
+/**
+ * @file
+ * The figure renderers: each fetches its figure's leaves
+ * (core/leaves.hh) and derives the series, table and shape checks.
+ */
+
 #include "core/figures.hh"
 
 #include <cmath>
-#include <cstdlib>
-#include <map>
-#include <sstream>
 
-#include "core/cache.hh"
-#include "core/figures_internal.hh"
+#include "core/leaves.hh"
 #include "core/paper.hh"
-#include "mem/sweep.hh"
-#include "sim/log.hh"
+#include "core/report.hh"
 #include "sim/parse.hh"
 
 namespace middlesim::core
@@ -20,18 +21,6 @@ namespace
 
 using stats::Series;
 using stats::Table;
-
-std::string
-fmt(double v, int prec = 2)
-{
-    return Table::num(v, prec);
-}
-
-ShapeCheck
-check(const std::string &what, bool pass, const std::string &detail)
-{
-    return {what, pass, detail};
-}
 
 /** Mean of a metric over repeated runs. */
 double
@@ -48,23 +37,48 @@ stdOf(const std::vector<RunResult> &runs,
     return summarize(runs, metric).stddev();
 }
 
-/** Base spec for a scaling-figure point. */
-ExperimentSpec
-scalingSpec(WorkloadKind kind, unsigned cpus, const FigureOptions &opt)
+double
+dataMpki(const RunResult &r)
 {
-    ExperimentSpec spec;
-    spec.workload = kind;
-    spec.appCpus = cpus;
-    spec.seed = opt.seed;
-    spec.protocol = opt.protocol;
-    spec.numaNodes = opt.numaNodes;
-    spec.topology = opt.topology;
-    spec.dirOccupancy = opt.dirOccupancy;
-    spec.warmup = static_cast<sim::Tick>(
-        static_cast<double>(spec.warmup) * opt.timeScale);
-    spec.measure = static_cast<sim::Tick>(
-        static_cast<double>(spec.measure) * opt.timeScale);
-    return spec;
+    return 1000.0 * static_cast<double>(r.cache.dataMisses) /
+           static_cast<double>(r.cpi.instructions);
+}
+
+/** The payloads of figure `fig.id`'s leaves, their metrics recorded. */
+template <typename Payload>
+std::vector<Payload>
+fetchFigure(FigureResult &fig, const FigureOptions &opt)
+{
+    return fetchPayloads<Payload>(figureRow(fig.id).leaves(opt),
+                                  fig.metricsByPoint);
+}
+
+/** One CPU count of the Figure 4-9 scaling sweep. */
+struct ScalingPoint
+{
+    unsigned cpus = 0;
+    std::vector<RunResult> ecperf;
+    std::vector<RunResult> jbb;
+};
+
+/** The scaling sweep of figure `fig.id`, its metrics recorded. */
+std::vector<ScalingPoint>
+scalingSweep(FigureResult &fig, const FigureOptions &opt)
+{
+    // Per CPU count: opt.runs runs of ECperf, then of SPECjbb.
+    const std::vector<Leaf> leaves = figureRow(fig.id).leaves(opt);
+    const std::vector<RunResult> runs =
+        fetchPayloads<RunResult>(leaves, fig.metricsByPoint);
+    std::vector<ScalingPoint> sweep;
+    for (std::size_t i = 0; i < runs.size(); i += 2 * opt.runs) {
+        const auto next = runs.begin() + static_cast<std::ptrdiff_t>(i);
+        ScalingPoint point;
+        point.cpus = leaves[i].spec.appCpus;
+        point.ecperf.assign(next, next + opt.runs);
+        point.jbb.assign(next + opt.runs, next + 2 * opt.runs);
+        sweep.push_back(std::move(point));
+    }
+    return sweep;
 }
 
 } // namespace
@@ -114,94 +128,14 @@ FigureOptions::fromEnv()
 }
 
 void
-FigureOptions::validate() const
+FigureOptions::validate(const std::vector<std::string> &figures) const
 {
-    // Every figure point runs on the paper's machine with these
-    // options applied; checking it here reports a conflict once,
-    // instead of once per pool thread that builds a System.
-    machineConfig(scalingSpec(WorkloadKind::SpecJbb, 1, *this)).validate();
-}
-
-namespace
-{
-
-struct SweepCacheEntry
-{
-    std::vector<ScalingPoint> sweep;
-    MetricsMap metrics;
-};
-
-SweepCacheEntry &
-scalingSweepEntry(const FigureOptions &opt)
-{
-    using Key = std::tuple<unsigned, long, std::uint64_t, unsigned,
-                           unsigned, unsigned, unsigned>;
-    static std::map<Key, SweepCacheEntry> cache;
-    const Key key{opt.runs,
-                  std::lround(opt.timeScale * 1000),
-                  opt.seed,
-                  static_cast<unsigned>(opt.protocol),
-                  opt.numaNodes,
-                  static_cast<unsigned>(opt.topology),
-                  opt.dirOccupancy};
-    auto it = cache.find(key);
-    if (it != cache.end())
-        return it->second;
-
-    const std::vector<ExperimentSpec> specs = scalingGridSpecs(opt);
-    const std::vector<RunResult> results = runGrid(specs);
-
-    SweepCacheEntry entry;
-    for (std::size_t i = 0; i < specs.size(); ++i)
-        entry.metrics.emplace(pointName(specs[i]), *results[i].metrics);
-
-    auto next = results.begin();
-    for (double cpus_d : paper::cpuSweep()) {
-        ScalingPoint point;
-        point.cpus = static_cast<unsigned>(cpus_d);
-        point.ecperf.assign(next, next + opt.runs);
-        next += opt.runs;
-        point.jbb.assign(next, next + opt.runs);
-        next += opt.runs;
-        entry.sweep.push_back(std::move(point));
+    // Checking every leaf here reports a conflict once, instead of
+    // once per pool thread that builds a System.
+    for (const std::string &id : figures) {
+        for (const Leaf &leaf : figureRow(id).leaves(*this))
+            machineConfig(leaf.spec).validate();
     }
-    return cache.emplace(key, std::move(entry)).first->second;
-}
-
-} // namespace
-
-std::vector<ExperimentSpec>
-scalingGridSpecs(const FigureOptions &opt)
-{
-    // Flatten every (cpu count, workload, repetition) into one grid
-    // so independent points fan out across the thread pool together;
-    // seeds come from repeatedSpec(), so the regrouped results are
-    // identical to per-point runRepeated() calls.
-    std::vector<ExperimentSpec> specs;
-    for (double cpus_d : paper::cpuSweep()) {
-        const auto cpus = static_cast<unsigned>(cpus_d);
-        for (unsigned r = 0; r < opt.runs; ++r) {
-            specs.push_back(repeatedSpec(
-                scalingSpec(WorkloadKind::Ecperf, cpus, opt), r));
-        }
-        for (unsigned r = 0; r < opt.runs; ++r) {
-            specs.push_back(repeatedSpec(
-                scalingSpec(WorkloadKind::SpecJbb, cpus, opt), r));
-        }
-    }
-    return specs;
-}
-
-const std::vector<ScalingPoint> &
-scalingSweep(const FigureOptions &opt)
-{
-    return scalingSweepEntry(opt).sweep;
-}
-
-const MetricsMap &
-scalingSweepMetrics(const FigureOptions &opt)
-{
-    return scalingSweepEntry(opt).metrics;
 }
 
 // ---------------------------------------------------------------------
@@ -211,16 +145,14 @@ scalingSweepMetrics(const FigureOptions &opt)
 FigureResult
 runFig04(const FigureOptions &opt)
 {
-    const auto &sweep = scalingSweep(opt);
-    auto tput = [](const RunResult &r) { return r.throughput; };
-
-    const double ec_base = meanOf(sweep.front().ecperf, tput);
-    const double jbb_base = meanOf(sweep.front().jbb, tput);
-
     FigureResult fig;
     fig.id = "fig04";
     fig.title = "Throughput scaling on a Sun E6000 (speedup vs 1 CPU)";
-    fig.metricsByPoint = scalingSweepMetrics(opt);
+    const std::vector<ScalingPoint> sweep = scalingSweep(fig, opt);
+
+    auto tput = [](const RunResult &r) { return r.throughput; };
+    const double ec_base = meanOf(sweep.front().ecperf, tput);
+    const double jbb_base = meanOf(sweep.front().jbb, tput);
 
     Series ec("ecperf"), jbb("specjbb");
     Table table({"cpus", "ecperf", "+-", "specjbb", "+-",
@@ -240,20 +172,20 @@ runFig04(const FigureOptions &opt)
     const double ec8 = ec.yAt(8), jbb10 = jbb.yAt(10);
     const double jbb15 = jbb.yAt(15), ec15 = ec.yAt(15);
     const double ec_peak = ec.maxY();
-    fig.checks.push_back(check(
+    fig.checks.push_back({
         "ECperf scales super-linearly to 8 CPUs", ec8 >= 7.2,
-        "speedup(8)=" + fmt(ec8)));
-    fig.checks.push_back(check(
+        "speedup(8)=" + fmt(ec8)});
+    fig.checks.push_back({
         "ECperf gains little beyond 12 CPUs",
         ec15 <= ec.yAt(12) * 1.15,
-        "speedup(12)=" + fmt(ec.yAt(12)) + " speedup(15)=" + fmt(ec15)));
-    fig.checks.push_back(check(
+        "speedup(12)=" + fmt(ec.yAt(12)) + " speedup(15)=" + fmt(ec15)});
+    fig.checks.push_back({
         "SPECjbb scales sub-linearly and flattens",
         jbb10 <= 9.0 && jbb15 <= jbb10 * 1.5,
-        "speedup(10)=" + fmt(jbb10) + " speedup(15)=" + fmt(jbb15)));
-    fig.checks.push_back(check(
+        "speedup(10)=" + fmt(jbb10) + " speedup(15)=" + fmt(jbb15)});
+    fig.checks.push_back({
         "ECperf outscales SPECjbb at its peak", ec_peak > jbb.maxY(),
-        "ecperf peak=" + fmt(ec_peak) + " jbb peak=" + fmt(jbb.maxY())));
+        "ecperf peak=" + fmt(ec_peak) + " jbb peak=" + fmt(jbb.maxY())});
 
     fig.measured = {ec, jbb};
     fig.paperRef = {paper::fig4Ecperf(), paper::fig4SpecJbb()};
@@ -268,12 +200,10 @@ runFig04(const FigureOptions &opt)
 FigureResult
 runFig05(const FigureOptions &opt)
 {
-    const auto &sweep = scalingSweep(opt);
-
     FigureResult fig;
     fig.id = "fig05";
     fig.title = "Execution mode breakdown vs number of processors (%)";
-    fig.metricsByPoint = scalingSweepMetrics(opt);
+    const std::vector<ScalingPoint> sweep = scalingSweep(fig, opt);
 
     auto frac = [](const RunResult &r, sim::Tick os::ModeBreakdown::*m) {
         return 100.0 * r.modes.fraction(r.modes.*m);
@@ -319,25 +249,25 @@ runFig05(const FigureOptions &opt)
     // softens there (the absolute 20% floor still applies).
     const bool fig5_bus =
         opt.protocol == sim::CoherenceProtocol::SnoopBus;
-    fig.checks.push_back(check(
+    fig.checks.push_back({
         "ECperf system time grows substantially with CPUs",
         ec_sys.yAt(15) >= (fig5_bus ? 2.2 : 1.8) * ec_sys.yAt(1) &&
             ec_sys.yAt(15) >= 20.0,
         "system(1)=" + fmt(ec_sys.yAt(1), 1) + "% system(15)=" +
-            fmt(ec_sys.yAt(15), 1) + "%"));
-    fig.checks.push_back(check(
+            fmt(ec_sys.yAt(15), 1) + "%"});
+    fig.checks.push_back({
         "SPECjbb spends essentially no system time",
         jbb_sys.yAt(15) <= 6.0,
-        "system(15)=" + fmt(jbb_sys.yAt(15), 1) + "%"));
-    fig.checks.push_back(check(
+        "system(15)=" + fmt(jbb_sys.yAt(15), 1) + "%"});
+    fig.checks.push_back({
         "Significant non-GC idle time appears on large systems",
         jbb_idle.yAt(15) >= 12.0,
-        "jbb idle(15)=" + fmt(jbb_idle.yAt(15), 1) + "%"));
-    fig.checks.push_back(check(
+        "jbb idle(15)=" + fmt(jbb_idle.yAt(15), 1) + "%"});
+    fig.checks.push_back({
         "GC idle is a minor slice of total idle",
         jbb_gc.yAt(15) <= jbb_idle.yAt(15),
         "gcidle(15)=" + fmt(jbb_gc.yAt(15), 1) + "% idle(15)=" +
-            fmt(jbb_idle.yAt(15), 1) + "%"));
+            fmt(jbb_idle.yAt(15), 1) + "%"});
 
     fig.measured = {ec_user, ec_sys, ec_idle, ec_gc,
                     jbb_user, jbb_sys, jbb_idle, jbb_gc};
@@ -355,12 +285,10 @@ runFig05(const FigureOptions &opt)
 FigureResult
 runFig06(const FigureOptions &opt)
 {
-    const auto &sweep = scalingSweep(opt);
-
     FigureResult fig;
     fig.id = "fig06";
     fig.title = "CPI breakdown vs number of processors";
-    fig.metricsByPoint = scalingSweepMetrics(opt);
+    const std::vector<ScalingPoint> sweep = scalingSweep(fig, opt);
 
     Series ec_cpi("ecperf-cpi"), jbb_cpi("specjbb-cpi");
     Series ec_ds("ecperf-datastall"), jbb_ds("specjbb-datastall");
@@ -404,12 +332,12 @@ runFig06(const FigureOptions &opt)
     const double ec_growth = ec_cpi.yAt(15) / ec_cpi.yAt(1);
     const double jbb_growth = jbb_cpi.yAt(15) / jbb_cpi.yAt(1);
     const bool on_bus = opt.protocol == sim::CoherenceProtocol::SnoopBus;
-    fig.checks.push_back(check(
+    fig.checks.push_back({
         "CPI grows with processor count (both workloads)",
         ec_growth > (on_bus ? 1.08 : 1.02) &&
             jbb_growth > (on_bus ? 1.03 : 1.02),
-        "ecperf x" + fmt(ec_growth) + " jbb x" + fmt(jbb_growth)));
-    fig.checks.push_back(check(
+        "ecperf x" + fmt(ec_growth) + " jbb x" + fmt(jbb_growth)});
+    fig.checks.push_back({
         "Memory-system stalls drive the CPI increase",
         (ec_ds.yAt(15) - ec_ds.yAt(1)) >
             0.5 * (ec_is.yAt(15) - ec_is.yAt(1)) &&
@@ -417,12 +345,12 @@ runFig06(const FigureOptions &opt)
             (jbb_is.yAt(15) - jbb_is.yAt(1)),
         "ec dstall " + fmt(ec_ds.yAt(1)) + "->" + fmt(ec_ds.yAt(15)) +
             ", jbb dstall " + fmt(jbb_ds.yAt(1)) + "->" +
-            fmt(jbb_ds.yAt(15))));
-    fig.checks.push_back(check(
+            fmt(jbb_ds.yAt(15))});
+    fig.checks.push_back({
         "CPIs are moderate for commercial workloads (< 3.2)",
         ec_cpi.maxY() < 3.2 && jbb_cpi.maxY() < 3.2,
         "max ec=" + fmt(ec_cpi.maxY()) + " max jbb=" +
-            fmt(jbb_cpi.maxY())));
+            fmt(jbb_cpi.maxY())});
 
     fig.measured = {ec_cpi, jbb_cpi, ec_ds, jbb_ds, ec_is, jbb_is};
     fig.paperRef = {paper::fig6EcperfCpi(), paper::fig6SpecJbbCpi()};
@@ -437,12 +365,10 @@ runFig06(const FigureOptions &opt)
 FigureResult
 runFig07(const FigureOptions &opt)
 {
-    const auto &sweep = scalingSweep(opt);
-
     FigureResult fig;
     fig.id = "fig07";
     fig.title = "Data stall time decomposition vs processors";
-    fig.metricsByPoint = scalingSweepMetrics(opt);
+    const std::vector<ScalingPoint> sweep = scalingSweep(fig, opt);
 
     Series ec_c2c("ecperf-c2c-share"), jbb_c2c("specjbb-c2c-share");
     Series ec_mem("ecperf-mem-share"), jbb_mem("specjbb-mem-share");
@@ -479,18 +405,18 @@ runFig07(const FigureOptions &opt)
         addRows("specjbb", p.jbb, p.cpus, jbb_c2c, jbb_mem);
     }
 
-    fig.checks.push_back(check(
+    fig.checks.push_back({
         "c2c share of data stall grows with processors",
         ec_c2c.yAt(15) > ec_c2c.yAt(2) &&
             jbb_c2c.yAt(15) > jbb_c2c.yAt(2),
         "ec " + fmt(ec_c2c.yAt(2)) + "->" + fmt(ec_c2c.yAt(15)) +
             ", jbb " + fmt(jbb_c2c.yAt(2)) + "->" +
-            fmt(jbb_c2c.yAt(15))));
-    fig.checks.push_back(check(
+            fmt(jbb_c2c.yAt(15))});
+    fig.checks.push_back({
         "c2c transfers are a major data-stall component at scale",
         ec_c2c.yAt(15) >= 0.25 && jbb_c2c.yAt(15) >= 0.12,
         "ec(15)=" + fmt(ec_c2c.yAt(15)) + " jbb(15)=" +
-            fmt(jbb_c2c.yAt(15))));
+            fmt(jbb_c2c.yAt(15))});
 
     // Store-buffer and RAW stalls as fractions of *total execution*:
     // the paper reports 1-2% and ~1%.
@@ -505,12 +431,12 @@ runFig07(const FigureOptions &opt)
         exec_share(big.jbb, &cpu::CpiBreakdown::dsStoreBuf);
     const double raw_exec =
         exec_share(big.jbb, &cpu::CpiBreakdown::dsRaw);
-    fig.checks.push_back(check(
+    fig.checks.push_back({
         "store buffer stalls are a small fraction of execution",
-        sb_exec < 0.05, "storebuf=" + fmt(100 * sb_exec, 2) + "%"));
-    fig.checks.push_back(check(
+        sb_exec < 0.05, "storebuf=" + fmt(100 * sb_exec, 2) + "%"});
+    fig.checks.push_back({
         "RAW hazard stalls are a small fraction of execution",
-        raw_exec < 0.04, "raw=" + fmt(100 * raw_exec, 2) + "%"));
+        raw_exec < 0.04, "raw=" + fmt(100 * raw_exec, 2) + "%"});
 
     fig.measured = {ec_c2c, jbb_c2c, ec_mem, jbb_mem};
     fig.paperRef = {paper::fig7EcperfC2cShare(),
@@ -526,12 +452,10 @@ runFig07(const FigureOptions &opt)
 FigureResult
 runFig08(const FigureOptions &opt)
 {
-    const auto &sweep = scalingSweep(opt);
-
     FigureResult fig;
     fig.id = "fig08";
     fig.title = "Cache-to-cache transfer ratio (% of L2 misses)";
-    fig.metricsByPoint = scalingSweepMetrics(opt);
+    const std::vector<ScalingPoint> sweep = scalingSweep(fig, opt);
 
     auto ratio = [](const RunResult &r) {
         return 100.0 * r.cache.c2cRatio();
@@ -563,7 +487,7 @@ runFig08(const FigureOptions &opt)
     // keeps rising.
     const bool fig8_bus =
         opt.protocol == sim::CoherenceProtocol::SnoopBus;
-    fig.checks.push_back(check(
+    fig.checks.push_back({
         fig8_bus ? "ratio rises substantially with processor count"
                  : "c2c share stays substantial (MESI: home serves "
                    "clean sharers, no O-state supply)",
@@ -573,18 +497,18 @@ runFig08(const FigureOptions &opt)
                  : (jbb.yAt(14) >= 8.0 && ec.yAt(14) >= 15.0),
         "jbb " + fmt(jbb.yAt(2), 1) + "% -> " + fmt(jbb.yAt(14), 1) +
             "%, ec " + fmt(ec.yAt(2), 1) + "% -> " +
-            fmt(ec.yAt(14), 1) + "%"));
-    fig.checks.push_back(check(
+            fmt(ec.yAt(14), 1) + "%"});
+    fig.checks.push_back({
         "transfers occur even with one application CPU (OS activity)",
         ec.yAt(1) > 0.0 && jbb.yAt(1) > 0.0,
         "ec(1)=" + fmt(ec.yAt(1), 2) + "% jbb(1)=" +
-            fmt(jbb.yAt(1), 2) + "%"));
-    fig.checks.push_back(check(
+            fmt(jbb.yAt(1), 2) + "%"});
+    fig.checks.push_back({
         "both workloads show comparable sharing behavior",
         std::abs(ec.yAt(14) - jbb.yAt(14)) <
             0.6 * std::max(ec.yAt(14), jbb.yAt(14)),
         "ec(14)=" + fmt(ec.yAt(14), 1) + "% jbb(14)=" +
-            fmt(jbb.yAt(14), 1) + "%"));
+            fmt(jbb.yAt(14), 1) + "%"});
 
     fig.measured = {ec, jbb};
     fig.paperRef = {paper::fig8Ecperf(), paper::fig8SpecJbb()};
@@ -599,12 +523,10 @@ runFig08(const FigureOptions &opt)
 FigureResult
 runFig09(const FigureOptions &opt)
 {
-    const auto &sweep = scalingSweep(opt);
-
     FigureResult fig;
     fig.id = "fig09";
     fig.title = "Effect of garbage collection on throughput scaling";
-    fig.metricsByPoint = scalingSweepMetrics(opt);
+    const std::vector<ScalingPoint> sweep = scalingSweep(fig, opt);
 
     auto tput = [](const RunResult &r) { return r.throughput; };
     auto tput_nogc = [](const RunResult &r) {
@@ -639,15 +561,15 @@ runFig09(const FigureOptions &opt)
     // small part of the gap to linear speedup.
     const double jbb_gap = 15.0 - jbb.yAt(15);
     const double jbb_gc_gain = jbbn.yAt(15) - jbb.yAt(15);
-    fig.checks.push_back(check(
+    fig.checks.push_back({
         "removing GC time closes only a fraction of the speedup gap",
         jbb_gap > 0 && jbb_gc_gain < 0.6 * jbb_gap,
-        "gap=" + fmt(jbb_gap) + " gc-gain=" + fmt(jbb_gc_gain)));
-    fig.checks.push_back(check(
+        "gap=" + fmt(jbb_gap) + " gc-gain=" + fmt(jbb_gc_gain)});
+    fig.checks.push_back({
         "no-GC speedup is at least the measured speedup",
         jbbn.yAt(15) >= jbb.yAt(15) * 0.98 &&
             ecn.yAt(15) >= ec.yAt(15) * 0.98,
-        "jbb " + fmt(jbb.yAt(15)) + " vs nogc " + fmt(jbbn.yAt(15))));
+        "jbb " + fmt(jbb.yAt(15)) + " vs nogc " + fmt(jbbn.yAt(15))});
 
     fig.measured = {ec, ecn, jbb, jbbn};
     fig.paperRef = {paper::fig4Ecperf(), paper::fig4SpecJbb()};
@@ -659,104 +581,6 @@ runFig09(const FigureOptions &opt)
 // Figure 10: copyback rate over time (GC windows)
 // ---------------------------------------------------------------------
 
-namespace
-{
-
-/** The Figure 10 experiment configuration. */
-ExperimentSpec
-fig10Spec(const FigureOptions &opt)
-{
-    ExperimentSpec spec = scalingSpec(WorkloadKind::SpecJbb, 8, opt);
-    spec.measure = static_cast<sim::Tick>(340'000'000 * opt.timeScale);
-    // A larger young generation for the timeline: with a compressed
-    // nursery a noticeable fraction of from-space is still cached,
-    // blurring the copyback collapse the paper observes.
-    spec.sys.jvm.heap.newGenBytes = 48ULL << 20;
-    return spec;
-}
-
-std::string
-encodeFig10(const Fig10Data &d)
-{
-    sim::ByteWriter w;
-    w.u64(d.t0);
-    w.vecU64(d.bins);
-    w.u64(d.gcWindows.size());
-    for (const auto &[start, end] : d.gcWindows) {
-        w.u64(start);
-        w.u64(end);
-    }
-    w.str(d.point);
-    encodeSnapshot(w, d.snap);
-    return w.take();
-}
-
-bool
-decodeFig10(const std::string &payload, Fig10Data &out)
-{
-    sim::ByteReader r(payload);
-    Fig10Data d;
-    d.t0 = r.u64();
-    d.bins = r.vecU64();
-    const std::uint64_t windows = r.u64();
-    for (std::uint64_t i = 0; r.ok() && i < windows; ++i) {
-        const sim::Tick start = r.u64();
-        const sim::Tick end = r.u64();
-        d.gcWindows.emplace_back(start, end);
-    }
-    d.point = r.str();
-    d.snap = decodeSnapshot(r);
-    if (!r.atEnd())
-        return false;
-    out = std::move(d);
-    return true;
-}
-
-Fig10Data
-fig10Leaf(const FigureOptions &opt)
-{
-    const ExperimentSpec spec = fig10Spec(opt);
-    BuiltWorkload workload;
-    auto system = buildSystem(spec, workload);
-    system->run(spec.warmup);
-    system->beginMeasurement();
-
-    // Timeline bins are indexed by absolute time.
-    const sim::Tick t0 = system->now();
-    system->memory().enableTimeline(
-        fig10BinWidth,
-        static_cast<unsigned>((t0 + spec.measure) / fig10BinWidth) + 2);
-    system->run(spec.measure);
-
-    Fig10Data d;
-    d.t0 = t0;
-    d.bins = system->memory().timeline()->bins();
-    for (const auto &rec : system->vm().stats().log)
-        d.gcWindows.emplace_back(rec.start, rec.start + rec.duration);
-    d.point = pointName(spec);
-    d.snap = collectMetrics(*system, spec, workload);
-    return d;
-}
-
-} // namespace
-
-Fig10Data
-cachedFig10Data(const FigureOptions &opt)
-{
-    const std::string key = encodeSpecKey(fig10Spec(opt));
-    RunCache &cache = RunCache::global();
-    std::string payload;
-    if (cache.fetch("fig10", key, payload)) {
-        Fig10Data d;
-        if (decodeFig10(payload, d))
-            return d;
-        warn("cache: undecodable 'fig10' payload; re-simulating");
-    }
-    Fig10Data fresh = fig10Leaf(opt);
-    cache.store("fig10", key, encodeFig10(fresh));
-    return fresh;
-}
-
 FigureResult
 runFig10(const FigureOptions &opt)
 {
@@ -765,7 +589,7 @@ runFig10(const FigureOptions &opt)
     fig.title =
         "Cache-to-cache transfers per second over time (SPECjbb)";
 
-    const Fig10Data data = cachedFig10Data(opt);
+    const Fig10Data data = fetchFigure<Fig10Data>(fig, opt).front();
     const sim::Tick bin = fig10BinWidth;
     const sim::Tick t0 = data.t0;
     const auto &timeline = data.bins;
@@ -810,21 +634,374 @@ runFig10(const FigureOptions &opt)
         }
     }
 
-    fig.metricsByPoint.emplace(data.point, data.snap);
-
     const double in_mean = in_n ? in_sum / in_n : 0.0;
     const double out_mean = out_n ? out_sum / out_n : 1.0;
-    fig.checks.push_back(check(
+    fig.checks.push_back({
         "at least 3 collections occur in the interval",
         data.gcWindows.size() >= 3,
-        std::to_string(data.gcWindows.size()) + " collections"));
-    fig.checks.push_back(check(
+        std::to_string(data.gcWindows.size()) + " collections"});
+    fig.checks.push_back({
         "copyback rate collapses during garbage collection",
         in_n > 0 && in_mean < 0.35 * out_mean,
         "mean in-GC=" + fmt(in_mean, 3) + " out-GC=" +
-            fmt(out_mean, 3)));
+            fmt(out_mean, 3)});
 
     fig.measured = {rate};
+    fig.table = table;
+    return fig;
+}
+
+// ---------------------------------------------------------------------
+// Figure 11: memory use vs scale factor
+// ---------------------------------------------------------------------
+
+FigureResult
+runFig11(const FigureOptions &opt)
+{
+    FigureResult fig;
+    fig.id = "fig11";
+    fig.title = "Live memory after collection vs scale factor (MB)";
+
+    // SPECjbb's scale points, then ECperf's, index-aligned.
+    const std::vector<Leaf> leaves = figureRow(fig.id).leaves(opt);
+    const std::vector<LivePoint> live =
+        fetchPayloads<LivePoint>(leaves, fig.metricsByPoint);
+    const std::size_t n = leaves.size() / 2;
+
+    Series jbb("specjbb"), ec("ecperf");
+    Table table({"scale", "specjbb(MB)", "ecperf(MB)", "paper-jbb",
+                 "paper-ec"});
+    for (std::size_t i = 0; i < n; ++i) {
+        const unsigned js = leaves[i].spec.scale;
+        const unsigned es = leaves[n + i].spec.scale;
+        const double j = live[i].mb, e = live[n + i].mb;
+        jbb.add(js, j);
+        ec.add(es, e);
+        table.addRow({fmt(js, 0), fmt(j, 0), fmt(e, 0),
+                      fmt(paper::fig11SpecJbb().yAt(js), 0),
+                      fmt(paper::fig11Ecperf().yAt(es), 0)});
+    }
+
+    // Linearity of SPECjbb growth between 5 and 25 warehouses.
+    const double slope_lo = (jbb.yAt(15) - jbb.yAt(5)) / 10.0;
+    const double slope_hi = (jbb.yAt(25) - jbb.yAt(15)) / 10.0;
+    fig.checks.push_back({
+        "SPECjbb memory grows linearly with warehouses",
+        slope_lo > 2.0 && std::abs(slope_hi - slope_lo) <
+                              0.5 * std::max(slope_lo, slope_hi),
+        "slope 5-15=" + fmt(slope_lo, 1) + " MB/wh, 15-25=" +
+            fmt(slope_hi, 1) + " MB/wh"});
+    fig.checks.push_back({
+        "SPECjbb growth breaks beyond ~30 warehouses (compaction)",
+        jbb.yAt(35) < jbb.yAt(30) * 1.05,
+        "live(30)=" + fmt(jbb.yAt(30), 0) + " live(35)=" +
+            fmt(jbb.yAt(35), 0)});
+    const double ec_late = ec.yAt(40) - ec.yAt(10);
+    const double ec_early = ec.yAt(6) - ec.yAt(1);
+    fig.checks.push_back({
+        "ECperf memory saturates around injection rate ~6",
+        ec_early > 2.0 * std::abs(ec_late),
+        "rise(1->6)=" + fmt(ec_early, 0) + " MB, rise(10->40)=" +
+            fmt(ec_late, 0) + " MB"});
+
+    fig.measured = {jbb, ec};
+    fig.paperRef = {paper::fig11SpecJbb(), paper::fig11Ecperf()};
+    fig.table = table;
+    return fig;
+}
+
+// ---------------------------------------------------------------------
+// Figures 12/13: instruction and data cache miss rates
+// ---------------------------------------------------------------------
+
+FigureResult
+runFig12(const FigureOptions &opt)
+{
+    FigureResult fig;
+    fig.id = "fig12";
+    fig.title = "Instruction cache misses per 1000 instructions";
+    // ECperf, then SPECjbb-1, -10 and -25.
+    const std::vector<SweepOutcome> set =
+        fetchFigure<SweepOutcome>(fig, opt);
+
+    Series ec("ecperf"), j1("specjbb-1"), j10("specjbb-10"),
+        j25("specjbb-25");
+    Table table({"size(KB)", "ecperf", "jbb-1", "jbb-10", "jbb-25",
+                 "paper-ec", "paper-jbb"});
+    const auto &configs = set[0].icache;
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        const double kb =
+            static_cast<double>(configs[i].params.sizeBytes) / 1024.0;
+        const double e = set[0].imissPer1000(i);
+        const double a = set[1].imissPer1000(i);
+        const double b = set[2].imissPer1000(i);
+        const double c = set[3].imissPer1000(i);
+        ec.add(kb, e);
+        j1.add(kb, a);
+        j10.add(kb, b);
+        j25.add(kb, c);
+        table.addRow({fmt(kb, 0), fmt(e, 3), fmt(a, 3), fmt(b, 3),
+                      fmt(c, 3),
+                      fmt(paper::fig12EcperfIcache().yAt(kb), 3),
+                      fmt(paper::fig12SpecJbbIcache().yAt(kb), 3)});
+    }
+
+    fig.checks.push_back({
+        "ECperf instruction misses exceed SPECjbb's at 256 KB",
+        ec.yAt(256) > 1.8 * j10.yAt(256),
+        "ec=" + fmt(ec.yAt(256), 2) + " jbb-10=" +
+            fmt(j10.yAt(256), 2)});
+    fig.checks.push_back({
+        "instruction misses are small (< ~1/1000) at >= 1 MB",
+        ec.yAt(1024) < 1.3 && j25.yAt(1024) < 1.0,
+        "ec(1MB)=" + fmt(ec.yAt(1024), 2) + " jbb-25(1MB)=" +
+            fmt(j25.yAt(1024), 2)});
+    fig.checks.push_back({
+        "miss rate decreases monotonically with cache size",
+        [&] {
+            for (std::size_t i = 1; i < ec.points.size(); ++i) {
+                if (ec.points[i].y > ec.points[i - 1].y + 0.01)
+                    return false;
+            }
+            return true;
+        }(),
+        "ecperf curve"});
+
+    fig.measured = {ec, j1, j10, j25};
+    fig.paperRef = {paper::fig12EcperfIcache(),
+                    paper::fig12SpecJbbIcache()};
+    fig.table = table;
+    return fig;
+}
+
+FigureResult
+runFig13(const FigureOptions &opt)
+{
+    FigureResult fig;
+    fig.id = "fig13";
+    fig.title = "Data cache misses per 1000 instructions";
+    // ECperf, then SPECjbb-1, -10 and -25.
+    const std::vector<SweepOutcome> set =
+        fetchFigure<SweepOutcome>(fig, opt);
+
+    Series ec("ecperf"), j1("specjbb-1"), j10("specjbb-10"),
+        j25("specjbb-25");
+    Table table({"size(KB)", "ecperf", "jbb-1", "jbb-10", "jbb-25",
+                 "paper-ec", "paper-jbb25"});
+    const auto &configs = set[0].dcache;
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        const double kb =
+            static_cast<double>(configs[i].params.sizeBytes) / 1024.0;
+        const double e = set[0].dmissPer1000(i);
+        const double a = set[1].dmissPer1000(i);
+        const double b = set[2].dmissPer1000(i);
+        const double c = set[3].dmissPer1000(i);
+        ec.add(kb, e);
+        j1.add(kb, a);
+        j10.add(kb, b);
+        j25.add(kb, c);
+        table.addRow({fmt(kb, 0), fmt(e, 3), fmt(a, 3), fmt(b, 3),
+                      fmt(c, 3),
+                      fmt(paper::fig13EcperfDcache().yAt(kb), 3),
+                      fmt(paper::fig13SpecJbb25Dcache().yAt(kb), 3)});
+    }
+
+    fig.checks.push_back({
+        "SPECjbb data misses grow with the warehouse count",
+        j25.yAt(1024) > j10.yAt(1024) && j10.yAt(1024) > j1.yAt(1024),
+        "1MB: jbb-1=" + fmt(j1.yAt(1024), 2) + " jbb-10=" +
+            fmt(j10.yAt(1024), 2) + " jbb-25=" +
+            fmt(j25.yAt(1024), 2)});
+    // Residual gap (EXPERIMENTS.md): the paper reports ~30% growth
+    // from 1 to 25 warehouses; our per-transaction reference stream
+    // has a larger scale-independent floor, so the gradient is
+    // present but shallower.
+    fig.checks.push_back({
+        "SPECjbb data misses grow monotonically 1 -> 25 warehouses",
+        j25.yAt(2048) > 1.03 * j1.yAt(2048) &&
+            j25.yAt(1024) > j10.yAt(1024) &&
+            j10.yAt(1024) > j1.yAt(1024),
+        "ratio@2MB=" + fmt(j25.yAt(2048) / std::max(j1.yAt(2048), 1e-9),
+                           2)});
+    fig.checks.push_back({
+        "ECperf's data miss rate is below SPECjbb-1's",
+        ec.yAt(1024) < j1.yAt(1024),
+        "1MB: ec=" + fmt(ec.yAt(1024), 2) + " jbb-1=" +
+            fmt(j1.yAt(1024), 2)});
+    fig.checks.push_back({
+        "data misses fall below ~2/1000 at >= 1 MB",
+        ec.yAt(1024) < 2.5 && j25.yAt(1024) < 3.5,
+        "ec=" + fmt(ec.yAt(1024), 2) + " jbb-25=" +
+            fmt(j25.yAt(1024), 2)});
+
+    fig.measured = {ec, j1, j10, j25};
+    fig.paperRef = {paper::fig13EcperfDcache(),
+                    paper::fig13SpecJbb1Dcache(),
+                    paper::fig13SpecJbb10Dcache(),
+                    paper::fig13SpecJbb25Dcache()};
+    fig.table = table;
+    return fig;
+}
+
+// ---------------------------------------------------------------------
+// Figures 14/15: communication footprint
+// ---------------------------------------------------------------------
+
+FigureResult
+runFig14(const FigureOptions &opt)
+{
+    FigureResult fig;
+    fig.id = "fig14";
+    fig.title = "Distribution of c2c transfers vs % of lines touched";
+    // SPECjbb, then ECperf.
+    const std::vector<CommPoint> comm = fetchFigure<CommPoint>(fig, opt);
+    const CommPoint &jbb = comm[0];
+    const CommPoint &ec = comm[1];
+
+    // x = fraction of *touched* lines (communicating lines are a
+    // subset); y = cumulative share of all c2c transfers.
+    const std::vector<double> fractions = {0.0001, 0.0005, 0.001,
+                                           0.005, 0.01, 0.05, 0.1,
+                                           0.25, 0.5, 1.0};
+    Series jbb_s("specjbb"), ec_s("ecperf");
+    Table table({"frac-of-touched", "specjbb", "ecperf"});
+    for (double f : fractions) {
+        auto shareAt = [&](const CommPoint &p) {
+            const auto k = static_cast<std::size_t>(
+                std::ceil(f * static_cast<double>(p.touchedLines)));
+            return p.curve.shareOfTopK(std::max<std::size_t>(k, 1));
+        };
+        const double j = shareAt(jbb);
+        const double e = shareAt(ec);
+        jbb_s.add(f, j);
+        ec_s.add(f, e);
+        table.addRow({fmt(f, 4), fmt(j, 3), fmt(e, 3)});
+    }
+
+    const double j_top = jbb.curve.maxShare();
+    const double e_top = ec.curve.maxShare();
+    const double j_01 = jbb_s.yAt(0.001);
+    const double e_01 = ec_s.yAt(0.001);
+    fig.checks.push_back({
+        "SPECjbb's hottest line carries a larger share than ECperf's",
+        j_top > e_top,
+        "jbb top=" + fmt(100 * j_top, 1) + "% ec top=" +
+            fmt(100 * e_top, 1) + "%"});
+    fig.checks.push_back({
+        "top 0.1% of lines: SPECjbb more concentrated than ECperf",
+        j_01 > e_01,
+        "jbb=" + fmt(100 * j_01, 1) + "% ec=" + fmt(100 * e_01, 1) +
+            "%"});
+    const double jbb_all_frac =
+        static_cast<double>(jbb.curve.numKeys()) /
+        static_cast<double>(std::max<std::uint64_t>(jbb.touchedLines,
+                                                    1));
+    const double ec_all_frac =
+        static_cast<double>(ec.curve.numKeys()) /
+        static_cast<double>(std::max<std::uint64_t>(ec.touchedLines,
+                                                    1));
+    fig.checks.push_back({
+        "ECperf communication spreads over more of its touched lines",
+        ec_all_frac > jbb_all_frac,
+        "jbb frac=" + fmt(jbb_all_frac, 3) + " ec frac=" +
+            fmt(ec_all_frac, 3)});
+
+    fig.measured = {jbb_s, ec_s};
+    fig.paperRef = {paper::fig14SpecJbb(), paper::fig14Ecperf()};
+    fig.table = table;
+    return fig;
+}
+
+FigureResult
+runFig15(const FigureOptions &opt)
+{
+    FigureResult fig;
+    fig.id = "fig15";
+    fig.title =
+        "Distribution of c2c transfers vs absolute lines (64 B)";
+    // SPECjbb, then ECperf.
+    const std::vector<CommPoint> comm = fetchFigure<CommPoint>(fig, opt);
+    const CommPoint &jbb = comm[0];
+    const CommPoint &ec = comm[1];
+
+    const std::vector<double> shares = {0.1, 0.2, 0.3, 0.4, 0.5,
+                                        0.6, 0.7, 0.8, 0.9, 1.0};
+    Series jbb_s("specjbb"), ec_s("ecperf");
+    Table table({"share-of-c2c", "specjbb-lines", "ecperf-lines"});
+    for (double s : shares) {
+        const double j =
+            static_cast<double>(jbb.curve.keysForShare(s));
+        const double e = static_cast<double>(ec.curve.keysForShare(s));
+        jbb_s.add(j, s);
+        ec_s.add(e, s);
+        table.addRow({fmt(s, 1), fmt(j, 0), fmt(e, 0)});
+    }
+
+    fig.checks.push_back({
+        "ECperf's absolute communication footprint exceeds SPECjbb's",
+        ec.curve.keysForShare(0.95) > jbb.curve.keysForShare(0.95),
+        "lines for 95%: ec=" +
+            std::to_string(ec.curve.keysForShare(0.95)) + " jbb=" +
+            std::to_string(jbb.curve.keysForShare(0.95))});
+    fig.checks.push_back({
+        "SPECjbb touches more memory overall",
+        jbb.touchedLines > ec.touchedLines,
+        "touched: jbb=" + std::to_string(jbb.touchedLines) + " ec=" +
+            std::to_string(ec.touchedLines)});
+
+    fig.measured = {jbb_s, ec_s};
+    fig.table = table;
+    return fig;
+}
+
+// ---------------------------------------------------------------------
+// Figure 16: shared caches
+// ---------------------------------------------------------------------
+
+FigureResult
+runFig16(const FigureOptions &opt)
+{
+    FigureResult fig;
+    fig.id = "fig16";
+    fig.title =
+        "Data miss rate with 1 MB L2s shared by 1/2/4/8 processors";
+
+    // Per sharing degree: ECperf, then SPECjbb-25.
+    const std::vector<Leaf> leaves = figureRow(fig.id).leaves(opt);
+    const std::vector<RunResult> results =
+        fetchPayloads<RunResult>(leaves, fig.metricsByPoint);
+
+    Series ec("ecperf"), jbb("specjbb-25");
+    Table table({"cpus/L2", "ecperf", "specjbb-25", "paper-ec",
+                 "paper-jbb25"});
+    for (std::size_t i = 0; i < results.size(); i += 2) {
+        const unsigned share = leaves[i].spec.cpusPerL2;
+        const double e = dataMpki(results[i]);
+        const double j = dataMpki(results[i + 1]);
+        ec.add(share, e);
+        jbb.add(share, j);
+        table.addRow({fmt(share, 0), fmt(e, 2), fmt(j, 2),
+                      fmt(paper::fig16Ecperf().yAt(share), 2),
+                      fmt(paper::fig16SpecJbb25().yAt(share), 2)});
+    }
+
+    fig.checks.push_back({
+        "sharing reduces ECperf's miss rate (best fully shared)",
+        ec.yAt(8) < ec.yAt(1),
+        "private=" + fmt(ec.yAt(1), 2) + " shared-8=" +
+            fmt(ec.yAt(8), 2)});
+    fig.checks.push_back({
+        "sharing increases SPECjbb-25's miss rate",
+        jbb.yAt(8) > jbb.yAt(1),
+        "private=" + fmt(jbb.yAt(1), 2) + " shared-8=" +
+            fmt(jbb.yAt(8), 2)});
+    fig.checks.push_back({
+        "the workloads reach opposite conclusions",
+        ec.yAt(8) < ec.yAt(1) && jbb.yAt(8) > jbb.yAt(1),
+        "crossover reproduced"});
+
+    fig.measured = {ec, jbb};
+    fig.paperRef = {paper::fig16Ecperf(), paper::fig16SpecJbb25()};
     fig.table = table;
     return fig;
 }

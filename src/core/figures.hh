@@ -5,9 +5,10 @@
  * One function per evaluation figure of the paper (Figures 4-16;
  * Figures 1-3 are block diagrams). Each returns the measured series,
  * the digitized paper series, a printable table, and the shape checks
- * that encode the paper's qualitative conclusions for that figure.
- * The bench binaries, the integration tests and the examples all
- * share these harnesses.
+ * that encode the paper's qualitative conclusions for that figure,
+ * rendered from the figure's leaf simulations (core/leaves.hh). The
+ * bench binaries, the integration tests and the examples all share
+ * these harnesses.
  */
 
 #ifndef CORE_FIGURES_HH
@@ -66,11 +67,13 @@ struct FigureOptions
     static FigureOptions fromEnv();
 
     /**
-     * Fatal unless the options describe a valid machine (e.g.
-     * --dir-occupancy without --protocol=directory). The campaign
-     * main calls this before any work is queued.
+     * Fatal unless every leaf of `figures` runs on a valid machine
+     * (e.g. --dir-occupancy without --protocol=directory), and when a
+     * figure that sets its own machine (fig_manycore) is given a
+     * machine option. The campaign main calls this before any work
+     * is queued.
      */
-    void validate() const;
+    void validate(const std::vector<std::string> &figures) const;
 };
 
 /** One qualitative conclusion of the paper, checked on our data. */
@@ -122,22 +125,8 @@ FigureResult runFig14(const FigureOptions &opt = {});
 FigureResult runFig15(const FigureOptions &opt = {});
 FigureResult runFig16(const FigureOptions &opt = {});
 
-/**
- * The scaling sweep shared by Figures 4-9: both workloads measured at
- * the paper's processor counts. Cached per (options) within one
- * process so the six figures don't redo identical simulations.
- */
-struct ScalingPoint
-{
-    unsigned cpus = 0;
-    std::vector<RunResult> ecperf;
-    std::vector<RunResult> jbb;
-};
-
-const std::vector<ScalingPoint> &scalingSweep(const FigureOptions &opt);
-
-/** Metric snapshots of the scaling sweep's grid points. */
-const MetricsMap &scalingSweepMetrics(const FigureOptions &opt);
+/** Ids of the paper's 13 figures ("fig04".."fig16"), in order. */
+const std::vector<std::string> &paperFigures();
 
 } // namespace middlesim::core
 

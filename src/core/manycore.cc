@@ -2,7 +2,8 @@
 
 #include <algorithm>
 
-#include "core/metrics_io.hh"
+#include "core/leaves.hh"
+#include "core/report.hh"
 #include "mem/directory/directory.hh"
 #include "sim/log.hh"
 
@@ -14,18 +15,6 @@ namespace
 
 using stats::Series;
 using stats::Table;
-
-std::string
-fmt(double v, int prec = 2)
-{
-    return Table::num(v, prec);
-}
-
-ShapeCheck
-check(const std::string &what, bool pass, const std::string &detail)
-{
-    return {what, pass, detail};
-}
 
 /** A named counter out of a run's metric snapshot (0 when absent). */
 std::uint64_t
@@ -258,15 +247,14 @@ runManycore(const FigureOptions &opt)
     fig.title = "SPECjbb beyond the bus: directory MESI + NUMA at "
                 "16-512 processors";
 
-    std::vector<ExperimentSpec> specs = manycoreGridSpecs(opt);
-    const std::size_t cbase = specs.size();
-    const std::vector<ExperimentSpec> contended =
-        manycoreContendedGridSpecs(opt);
-    specs.insert(specs.end(), contended.begin(), contended.end());
-    const std::vector<RunResult> results = runGrid(specs);
-    for (std::size_t i = 0; i < specs.size(); ++i)
-        fig.metricsByPoint.emplace(pointName(specs[i]),
-                                   *results[i].metrics);
+    // The contention-free grid, then the contended companion.
+    const std::vector<Leaf> leaves = figureRow(fig.id).leaves(opt);
+    const std::vector<RunResult> results =
+        fetchPayloads<RunResult>(leaves, fig.metricsByPoint);
+    std::vector<ExperimentSpec> specs;
+    for (const Leaf &leaf : leaves)
+        specs.push_back(leaf.spec);
+    const std::size_t cbase = manycoreGridSpecs(opt).size();
 
     Series mpki("data-mpki"), remote("remote-frac"),
         hops("hops-per-miss");
@@ -342,39 +330,39 @@ runManycore(const FigureOptions &opt)
             ran_detail += " cpus=" +
                           std::to_string(specs[i].totalCpus);
     }
-    fig.checks.push_back(check(
+    fig.checks.push_back({
         "every directory point ran SPECjbb end-to-end with protocol "
         "traffic",
         all_ran,
         all_ran ? "tx>0 and dir messages>0 at 16/64/128/256/512"
-                : "failed at" + ran_detail));
-    fig.checks.push_back(check(
+                : "failed at" + ran_detail});
+    fig.checks.push_back({
         "the single-node 16-CPU directory machine sees no remote "
         "misses",
         counterOf(dir16, "mem.numa.remote_misses") == 0,
         "remote=" + std::to_string(counterOf(
-                        dir16, "mem.numa.remote_misses"))));
-    fig.checks.push_back(check(
+                        dir16, "mem.numa.remote_misses"))});
+    fig.checks.push_back({
         "the matched 16-CPU directory point tracks the snooping bus",
         p16s.mpki > 0.0 && p16d.mpki > 0.5 * p16s.mpki &&
             p16d.mpki < 2.0 * p16s.mpki,
         "mpki snoop=" + fmt(p16s.mpki, 2) + " dir=" +
-            fmt(p16d.mpki, 2)));
-    fig.checks.push_back(check(
+            fmt(p16d.mpki, 2)});
+    fig.checks.push_back({
         "the remote-miss fraction grows with the node count",
         p512.remoteFrac > p64.remoteFrac,
         "remote-frac 64cpu=" + fmt(p64.remoteFrac, 3) + " 512cpu=" +
-            fmt(p512.remoteFrac, 3)));
-    fig.checks.push_back(check(
+            fmt(p512.remoteFrac, 3)});
+    fig.checks.push_back({
         "interconnect hops per miss grow with machine size",
         p512.hopsPerMiss > p64.hopsPerMiss,
         "hops/miss 64cpu=" + fmt(p64.hopsPerMiss, 2) + " 512cpu=" +
-            fmt(p512.hopsPerMiss, 2)));
-    fig.checks.push_back(check(
+            fmt(p512.hopsPerMiss, 2)});
+    fig.checks.push_back({
         "the snooping anchor carries no directory traffic",
         counterOf(snoop16, "mem.dir.get_s") == 0 &&
             counterOf(snoop16, "mem.numa.hops") == 0,
-        "snoop metrics stay directory-free"));
+        "snoop metrics stay directory-free"});
 
     // Contended companion grid: ring/mesh per CPU count, in
     // manycoreContendedGridSpecs order.
@@ -403,47 +391,47 @@ runManycore(const FigureOptions &opt)
                            "@" + std::to_string(specs[i].totalCpus);
         }
     }
-    fig.checks.push_back(check(
+    fig.checks.push_back({
         "honest contended runs never break the retry bound",
         no_breaks,
         no_breaks ? "mem.dir.livelock_breaks=0 at every contended "
                     "point"
-                  : "breaks at" + break_detail));
-    fig.checks.push_back(check(
+                  : "breaks at" + break_detail});
+    fig.checks.push_back({
         "contended homes and links both measure busy occupancy",
         all_busy,
         all_busy ? "occupancy and link busy cycles > 0 everywhere"
-                 : "zero busy cycles at" + busy_detail));
-    fig.checks.push_back(check(
+                 : "zero busy cycles at" + busy_detail});
+    fig.checks.push_back({
         "queuing delay per miss grows with machine size on the ring",
         queueDelayPerMiss(ring256) > queueDelayPerMiss(ring64),
         "queue-delay/miss ring 64cpu=" +
             fmt(queueDelayPerMiss(ring64), 2) + " 256cpu=" +
-            fmt(queueDelayPerMiss(ring256), 2)));
-    fig.checks.push_back(check(
+            fmt(queueDelayPerMiss(ring256), 2)});
+    fig.checks.push_back({
         "the mesh needs fewer hops per miss than the ring at 256 "
         "CPUs",
         pMesh256.hopsPerMiss < pRing256.hopsPerMiss,
         "hops/miss ring=" + fmt(pRing256.hopsPerMiss, 2) + " mesh=" +
-            fmt(pMesh256.hopsPerMiss, 2)));
-    fig.checks.push_back(check(
+            fmt(pMesh256.hopsPerMiss, 2)});
+    fig.checks.push_back({
         "the mesh's miss-latency distribution beats the "
         "bisection-limited ring at 256 CPUs",
         meanBucketLatency(mesh256) < meanBucketLatency(ring256) &&
             meanBucketLatency(mesh256) > 0.0,
         "bucket-mean latency ring=" +
             fmt(meanBucketLatency(ring256), 1) + " mesh=" +
-            fmt(meanBucketLatency(mesh256), 1)));
+            fmt(meanBucketLatency(mesh256), 1)});
     bool base_clean = true;
     for (std::size_t i = 0; i < cbase; ++i)
         base_clean = base_clean &&
                      counterOf(results[i], "mem.dir.nacks") == 0 &&
                      counterOf(results[i],
                                "mem.dir.occupancy_queue_delay") == 0;
-    fig.checks.push_back(check(
+    fig.checks.push_back({
         "the contention-free grid registers no contended-mode "
         "counters",
-        base_clean, "occupancy=0 points carry no nack/queue metrics"));
+        base_clean, "occupancy=0 points carry no nack/queue metrics"});
 
     fig.measured = {mpki, remote, hops};
     for (Series &cdf : latCdfs)

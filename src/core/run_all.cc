@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <limits>
 #include <set>
@@ -15,8 +14,7 @@
 
 #include "check/checker.hh"
 #include "core/cache.hh"
-#include "core/figures_internal.hh"
-#include "core/manycore.hh"
+#include "core/leaves.hh"
 #include "core/metrics_io.hh"
 #include "core/report.hh"
 #include "core/trace_run.hh"
@@ -30,98 +28,6 @@ namespace middlesim::core
 
 namespace
 {
-
-struct FigureJob
-{
-    const char *id;
-    FigureResult (*harness)(const FigureOptions &);
-};
-
-/** Every figure a campaign can render; the first 13 are the paper's. */
-constexpr FigureJob kFigures[] = {
-    {"fig04", runFig04}, {"fig05", runFig05}, {"fig06", runFig06},
-    {"fig07", runFig07}, {"fig08", runFig08}, {"fig09", runFig09},
-    {"fig10", runFig10}, {"fig11", runFig11}, {"fig12", runFig12},
-    {"fig13", runFig13}, {"fig14", runFig14}, {"fig15", runFig15},
-    {"fig16", runFig16}, {"fig_manycore", runManycore},
-};
-constexpr std::size_t kPaperFigureCount = 13;
-
-const FigureJob &
-figureJob(const std::string &id)
-{
-    for (const FigureJob &job : kFigures) {
-        if (id == job.id)
-            return job;
-    }
-    fatal("run_all: unknown figure '", id, "'");
-}
-
-/** One leaf simulation of the campaign. */
-struct RunAllItem
-{
-    /** Content address: equal ids compute the same result. */
-    std::string id;
-    /** Compute the result into the RunCache (memory and disk). */
-    std::function<void()> run;
-};
-
-void
-addGridItems(std::vector<RunAllItem> &items,
-             const std::vector<ExperimentSpec> &specs)
-{
-    for (const ExperimentSpec &spec : specs) {
-        items.push_back({"run:" + encodeSpecKey(spec),
-                         [spec] { cachedRunExperiment(spec); }});
-    }
-}
-
-/**
- * The leaf simulations figure `fig` consumes. Ids are content
- * addresses, so identical points requested by different figures
- * collapse to one unit of work. fig_manycore runs its own grid and
- * contributes none.
- */
-std::vector<RunAllItem>
-figureWork(const std::string &fig, const FigureOptions &opt)
-{
-    std::vector<RunAllItem> items;
-    if (fig >= "fig04" && fig <= "fig09") {
-        addGridItems(items, scalingGridSpecs(opt));
-    } else if (fig == "fig10") {
-        items.push_back({"fig10:", [opt] { cachedFig10Data(opt); }});
-    } else if (fig == "fig11") {
-        for (unsigned s : fig11JbbScales()) {
-            items.push_back({"live:jbb:" + std::to_string(s), [s, opt] {
-                cachedLivePoint(WorkloadKind::SpecJbb, s, opt);
-            }});
-        }
-        for (unsigned s : fig11EcperfScales()) {
-            items.push_back({"live:ec:" + std::to_string(s), [s, opt] {
-                cachedLivePoint(WorkloadKind::Ecperf, s, opt);
-            }});
-        }
-    } else if (fig == "fig12" || fig == "fig13") {
-        items.push_back({"sweep:ec:8", [opt] {
-            cachedSweepOutcome(WorkloadKind::Ecperf, 8, opt);
-        }});
-        for (unsigned s : {1u, 10u, 25u}) {
-            items.push_back({"sweep:jbb:" + std::to_string(s), [s, opt] {
-                cachedSweepOutcome(WorkloadKind::SpecJbb, s, opt);
-            }});
-        }
-    } else if (fig == "fig14" || fig == "fig15") {
-        items.push_back({"comm:jbb:15:15", [opt] {
-            cachedCommFootprint(WorkloadKind::SpecJbb, 15, 15, opt);
-        }});
-        items.push_back({"comm:ec:8:8", [opt] {
-            cachedCommFootprint(WorkloadKind::Ecperf, 8, 8, opt);
-        }});
-    } else if (fig == "fig16") {
-        addGridItems(items, fig16GridSpecs(opt));
-    }
-    return items;
-}
 
 void
 writeStatsJson(std::ostream &os, std::uint64_t requested,
@@ -166,7 +72,7 @@ renderFigures(const std::vector<std::string> &figures,
 {
     bool all_pass = true;
     for (const std::string &id : figures) {
-        const FigureResult fig = figureJob(id).harness(opt);
+        const FigureResult fig = figureRow(id).render(opt);
         printFigure(fig, std::cout);
         all_pass = all_pass && fig.allPass();
         if (!metrics_dir.empty()) {
@@ -183,16 +89,16 @@ renderFigures(const std::vector<std::string> &figures,
 }
 
 /**
- * The canonical work queue of a campaign: every leaf simulation the
- * figures need, deduplicated by content address, in a fixed
- * enumeration order. The same options always yield the same
- * sequence, so `--shard=i/N` processes partition it consistently.
+ * The canonical work queue of a campaign: every leaf the figures'
+ * rows list, deduplicated by content address, in a fixed enumeration
+ * order. The same options always yield the same sequence, so
+ * `--shard=i/N` processes partition it consistently.
  */
 struct RunAllQueue
 {
-    /** Unique items, in canonical (figure enumeration) order. */
-    std::vector<RunAllItem> items;
-    /** Leaf points requested before deduplication. */
+    /** Unique leaves, in canonical (figure enumeration) order. */
+    std::vector<Leaf> leaves;
+    /** Leaves requested before deduplication. */
     std::uint64_t requested = 0;
 };
 
@@ -203,28 +109,16 @@ buildRunAllQueue(const std::vector<std::string> &figures,
     RunAllQueue queue;
     std::set<std::string> seen;
     for (const std::string &id : figures) {
-        for (RunAllItem &item : figureWork(id, opt)) {
+        for (Leaf &leaf : figureRow(id).leaves(opt)) {
             ++queue.requested;
-            if (seen.insert(item.id).second)
-                queue.items.push_back(std::move(item));
+            if (seen.insert(leafAddress(leaf)).second)
+                queue.leaves.push_back(std::move(leaf));
         }
     }
     return queue;
 }
 
 } // namespace
-
-const std::vector<std::string> &
-paperFigures()
-{
-    static const std::vector<std::string> ids = [] {
-        std::vector<std::string> v;
-        for (std::size_t i = 0; i < kPaperFigureCount; ++i)
-            v.push_back(kFigures[i].id);
-        return v;
-    }();
-    return ids;
-}
 
 int
 runAllMain(const std::vector<std::string> &figures, int argc,
@@ -295,7 +189,7 @@ runAllMain(const std::vector<std::string> &figures, int argc,
     for (sim::Flag &row : opt.flags())
         rows.push_back(std::move(row));
     sim::parseFlags(tool, rows, argc, argv);
-    opt.validate();
+    opt.validate(figures);
 
     // A cached result was produced without the checkers watching;
     // checking is only meaningful for runs that actually execute.
@@ -327,33 +221,32 @@ runAllMain(const std::vector<std::string> &figures, int argc,
     // Global work queue: every leaf every figure needs, deduplicated
     // by content address.
     RunAllQueue queue = buildRunAllQueue(figures, opt);
-    std::vector<RunAllItem> &items = queue.items;
-    const std::uint64_t unique = items.size();
+    std::vector<Leaf> &leaves = queue.leaves;
+    const std::uint64_t unique = leaves.size();
     std::fprintf(stderr,
                  "%s: %llu leaf points requested by %zu figure%s, "
                  "%zu unique after dedupe (jobs=%u)\n",
                  tool.c_str(),
                  static_cast<unsigned long long>(queue.requested),
                  figures.size(), figures.size() == 1 ? "" : "s",
-                 items.size(), sim::ThreadPool::global().jobs());
+                 leaves.size(), sim::ThreadPool::global().jobs());
 
-    // A shard keeps every N-th unique item, from its index on.
+    // A shard keeps every N-th unique leaf, from its index on.
     if (shard_count != 0) {
-        std::vector<RunAllItem> mine;
-        for (std::size_t i = shard_index; i < items.size();
+        std::vector<Leaf> mine;
+        for (std::size_t i = shard_index; i < leaves.size();
              i += shard_count)
-            mine.push_back(std::move(items[i]));
+            mine.push_back(std::move(leaves[i]));
         std::fprintf(stderr, "%s: shard %u/%u runs %zu of them\n",
                      tool.c_str(), shard_index, shard_count,
                      mine.size());
-        items = std::move(mine);
+        leaves = std::move(mine);
     }
 
-    // Prefetch: one flat fan-out over the unique points. Leaf tasks
-    // never submit nested pool work, so this cannot deadlock.
+    // Prefetch: one flat fan-out over the unique leaves into the
+    // RunCache; the renderers then fetch them as memo (or disk) hits.
     const auto t_start = std::chrono::steady_clock::now();
-    sim::ThreadPool::global().parallelFor(
-        items.size(), [&](std::size_t i) { items[i].run(); });
+    fetchLeaves(leaves);
     const double prefetch_seconds =
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - t_start)

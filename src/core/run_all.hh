@@ -15,23 +15,20 @@
 namespace middlesim::core
 {
 
-/** Ids of the paper's 13 figures ("fig04".."fig16"), in order. */
-const std::vector<std::string> &paperFigures();
-
 /**
- * main() body of every figure driver and of run_all. Enumerates the
- * leaf simulations of `figures` (ids as in paperFigures(), or
- * "fig_manycore"), deduplicates them by content address, prefetches
- * the unique points across the thread pool, then renders each figure
- * in order — output byte-identical to running the single-figure
- * drivers back to back.
+ * main() body of every figure driver and of run_all. Reads the leaf
+ * lists of `figures` (figureRow(), core/leaves.hh: ids as in
+ * paperFigures(), or "fig_manycore"), deduplicates them by content
+ * address, prefetches the unique leaves across the thread pool, then
+ * renders each figure in order — output byte-identical to running the
+ * single-figure drivers back to back.
  *
  * Every binary takes the same flags; `--help` lists them with their
  * MIDDLESIM_* variables. `--metrics-dir=DIR` writes DIR/<id>.json per
  * figure; `--stats-out=PATH` writes the dedupe ratio and cache hit
  * counts.
  *
- * `--shard=i/N` runs only the unique items whose queue index is
+ * `--shard=i/N` runs only the unique leaves whose queue index is
  * i mod N, into the `--cache-dir` it requires, and renders nothing.
  * Once shards 0..N-1 have finished (in any processes, on any hosts
  * sharing the directory), a plain run over the same `--cache-dir`
@@ -39,7 +36,7 @@ const std::vector<std::string> &paperFigures();
  * run.
  *
  * @return 0 when every shape check of every figure passes (a shard
- * returns 0 once its items are cached).
+ * returns 0 once its leaves are cached).
  */
 int runAllMain(const std::vector<std::string> &figures, int argc,
                char **argv);

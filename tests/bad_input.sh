@@ -116,6 +116,14 @@ expect_bad --dir-occupancy MIDDLESIM_DIR_OCCUPANCY=4 "$fig04" --jobs=4
 expect_bad --topology "$run_all" --topology=mesh --jobs=4
 expect_bad numaNodes "$run_all" --numa-nodes=2
 
+# fig_manycore sets its own machine per point: a machine option it
+# would ignore is refused, as a flag or as a variable.
+manycore="$bindir/fig_manycore"
+expect_bad --protocol "$manycore" --protocol=directory
+expect_bad --numa-nodes "$manycore" --numa-nodes=2
+expect_bad MIDDLESIM_TOPOLOGY MIDDLESIM_TOPOLOGY=mesh "$manycore"
+expect_bad MIDDLESIM_DIR_OCCUPANCY MIDDLESIM_DIR_OCCUPANCY=4 "$manycore"
+
 # Malformed or out-of-range numbers, in the environment and in flags.
 expect_bad MIDDLESIM_RUNS MIDDLESIM_RUNS=-1 "$run_all"
 expect_bad MIDDLESIM_RUNS MIDDLESIM_RUNS=0 "$run_all"

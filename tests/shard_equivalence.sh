@@ -1,11 +1,12 @@
 #!/bin/bash
 # run_all --shard=i/N: for N in {1, 2, 3}, shards 0..N-1 run
 # concurrently into one --cache-dir, then a plain run_all over that
-# directory renders. The render's stdout and per-figure metrics
-# documents must be byte-identical to single-process run_all --jobs=1,
-# and its --stats-out must show every result came off the disk cache
+# directory renders; likewise two fig_manycore shards. The render's
+# stdout and per-figure metrics documents must be byte-identical to
+# the single-process --jobs=1 --no-cache run of the same binary, and
+# its --stats-out must show every result came off the disk cache
 # (cache_misses 0, cache_stores 0). Runs time-compressed (shape checks
-# may FAIL at this scale), so run_all exit status 1 is tolerated for
+# may FAIL at this scale), so exit status 1 is tolerated for
 # rendering runs; a shard renders nothing and must exit 0.
 #
 # Usage: shard_equivalence.sh <build/bench dir>
@@ -24,7 +25,9 @@ unset MIDDLESIM_CACHE MIDDLESIM_QUICK MIDDLESIM_JOBS MIDDLESIM_CHECK \
 fail() { echo "FAIL: $*" >&2; exit 1; }
 crash() { echo "CRASH: $*" >&2; exit 2; }
 
-[ -x "$bindir/run_all" ] || fail "missing binary: $bindir/run_all"
+for b in run_all fig_manycore; do
+    [ -x "$bindir/$b" ] || fail "missing binary: $bindir/$b"
+done
 
 workdir=$(mktemp -d /tmp/middlesim_shard.XXXXXX)
 trap 'rm -rf "$workdir"' EXIT
@@ -54,19 +57,18 @@ stat_of() {
     grep -o "\"$1\": *[0-9]*" "$2" | grep -o '[0-9]*$'
 }
 
-echo "# single-process reference" >&2
-mkdir -p "$workdir/metrics_ref"
-run_tolerant "$workdir/ref.out" "$bindir/run_all" --jobs=1 --no-cache \
-    --metrics-dir="$workdir/metrics_ref"
-[ -s "$workdir/ref.out" ] || fail "reference run printed nothing"
-
-for n in 1 2 3; do
-    echo "# $n concurrent shard(s), then render" >&2
-    cache="$workdir/cache$n"
-    pids=""
+# shard_then_render BINARY N: shards 0..N-1 of BINARY run concurrently
+# into a fresh --cache-dir, then a plain run renders from it; stdout
+# and every metrics document must match BINARY's reference in
+# $workdir/ref.BINARY.out and $workdir/metrics_ref.BINARY/, all off
+# the disk cache.
+shard_then_render() {
+    local bin=$1 n=$2
+    local tag="$bin.$n" cache="$workdir/cache.$bin.$n" pids="" i pid
+    echo "# $bin: $n concurrent shard(s), then render" >&2
     for ((i = 0; i < n; i++)); do
-        "$bindir/run_all" --jobs=1 --shard="$i/$n" --cache-dir="$cache" \
-            > "$workdir/shard$n.$i.out" 2> /dev/null &
+        "$bindir/$bin" --jobs=1 --shard="$i/$n" --cache-dir="$cache" \
+            > "$workdir/shard.$tag.$i.out" 2> /dev/null &
         pids="$pids $!"
     done
     i=0
@@ -74,38 +76,51 @@ for n in 1 2 3; do
         status=0
         wait "$pid" || status=$?
         [ "$status" -le 1 ] ||
-            crash "shard $i/$n crashed with exit status $status"
-        [ "$status" -eq 0 ] || fail "shard $i/$n exited $status"
-        [ ! -s "$workdir/shard$n.$i.out" ] ||
-            fail "shard $i/$n printed to stdout (a shard renders nothing)"
+            crash "$bin shard $i/$n crashed with exit status $status"
+        [ "$status" -eq 0 ] || fail "$bin shard $i/$n exited $status"
+        [ ! -s "$workdir/shard.$tag.$i.out" ] ||
+            fail "$bin shard $i/$n printed to stdout (a shard renders nothing)"
         i=$((i + 1))
     done
 
-    mkdir -p "$workdir/metrics$n"
-    run_tolerant "$workdir/render$n.out" "$bindir/run_all" --jobs=1 \
-        --cache-dir="$cache" --metrics-dir="$workdir/metrics$n" \
-        --stats-out="$workdir/stats$n.json"
-    expect_identical "$workdir/ref.out" "$workdir/render$n.out" \
-        "render after $n shard(s) differs from run_all --jobs=1"
-    for f in "$workdir"/metrics_ref/*.json; do
+    mkdir -p "$workdir/metrics.$tag"
+    run_tolerant "$workdir/render.$tag.out" "$bindir/$bin" --jobs=1 \
+        --cache-dir="$cache" --metrics-dir="$workdir/metrics.$tag" \
+        --stats-out="$workdir/stats.$tag.json"
+    expect_identical "$workdir/ref.$bin.out" "$workdir/render.$tag.out" \
+        "$bin render after $n shard(s) differs from $bin --jobs=1"
+    for f in "$workdir/metrics_ref.$bin"/*.json; do
         id=$(basename "$f")
-        [ -s "$workdir/metrics$n/$id" ] ||
-            fail "render after $n shard(s) wrote no metrics document $id"
-        expect_identical "$f" "$workdir/metrics$n/$id" \
-            "metrics document $id differs after $n shard(s)"
+        [ -s "$workdir/metrics.$tag/$id" ] ||
+            fail "$bin render after $n shard(s) wrote no metrics document $id"
+        expect_identical "$f" "$workdir/metrics.$tag/$id" \
+            "metrics document $id differs after $n $bin shard(s)"
     done
 
-    stats="$workdir/stats$n.json"
-    [ -s "$stats" ] || fail "render wrote no stats JSON"
+    stats="$workdir/stats.$tag.json"
+    [ -s "$stats" ] || fail "$bin render wrote no stats JSON"
     misses=$(stat_of cache_misses "$stats")
     stores=$(stat_of cache_stores "$stats")
     hits=$(stat_of cache_disk_hits "$stats")
     [ "$misses" = 0 ] ||
-        fail "render after $n shard(s) missed the cache $misses time(s)"
+        fail "$bin render after $n shard(s) missed the cache $misses time(s)"
     [ "$stores" = 0 ] ||
-        fail "render after $n shard(s) stored $stores result(s)"
+        fail "$bin render after $n shard(s) stored $stores result(s)"
     [ -n "$hits" ] && [ "$hits" -gt 0 ] ||
-        fail "render after $n shard(s) read nothing off disk"
+        fail "$bin render after $n shard(s) read nothing off disk"
+}
+
+for bin in run_all fig_manycore; do
+    echo "# $bin: single-process reference" >&2
+    mkdir -p "$workdir/metrics_ref.$bin"
+    run_tolerant "$workdir/ref.$bin.out" "$bindir/$bin" --jobs=1 \
+        --no-cache --metrics-dir="$workdir/metrics_ref.$bin"
+    [ -s "$workdir/ref.$bin.out" ] || fail "$bin reference printed nothing"
 done
+
+for n in 1 2 3; do
+    shard_then_render run_all "$n"
+done
+shard_then_render fig_manycore 2
 
 echo "SHARD_EQUIVALENCE_OK"

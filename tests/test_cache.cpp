@@ -20,7 +20,7 @@
 
 #include "core/cache.hh"
 #include "core/experiment.hh"
-#include "core/figures_internal.hh"
+#include "core/leaves.hh"
 #include "sim/metrics.hh"
 #include "sim/serialize.hh"
 #include "sim/threadpool.hh"
@@ -50,6 +50,14 @@ expectIdentical(const core::RunResult &a, const core::RunResult &b)
     EXPECT_EQ(a.gcPause, b.gcPause);
     EXPECT_EQ(a.liveAfterMB, b.liveAfterMB);
     EXPECT_EQ(a.beanHitRate, b.beanHitRate);
+}
+
+/** A run leaf through the one fetch-or-simulate path. */
+core::RunResult
+cachedRun(const core::ExperimentSpec &spec)
+{
+    return std::get<core::RunResult>(
+        core::fetchLeaf({core::LeafKind::Run, spec}));
 }
 
 core::ExperimentSpec
@@ -310,8 +318,8 @@ TEST_F(CacheTest, MemoizedRunIsByteIdenticalToFresh)
     const core::ExperimentSpec spec = smallSpec();
     const core::RunResult fresh = core::runExperiment(spec);
 
-    const core::RunResult first = core::cachedRunExperiment(spec);
-    const core::RunResult memo = core::cachedRunExperiment(spec);
+    const core::RunResult first = cachedRun(spec);
+    const core::RunResult memo = cachedRun(spec);
     expectIdentical(fresh, first);
     expectIdentical(fresh, memo);
     EXPECT_EQ(core::encodeRunResult(memo), core::encodeRunResult(fresh));
@@ -329,13 +337,13 @@ TEST_F(CacheTest, DiskHitIsByteIdenticalToFreshForFigureSpecs)
     core::FigureOptions opt;
     opt.runs = 1;
     opt.timeScale = 0.02;
-    const auto grid = core::scalingGridSpecs(opt);
-    const auto fig16 = core::fig16GridSpecs(opt);
+    const auto grid = core::figureRow("fig04").leaves(opt);
+    const auto fig16 = core::figureRow("fig16").leaves(opt);
     ASSERT_GE(grid.size(), 2u);
     ASSERT_GE(fig16.size(), 1u);
-    std::vector<core::ExperimentSpec> specs = {grid.front(),
-                                               grid.back(),
-                                               fig16.front()};
+    std::vector<core::ExperimentSpec> specs = {grid.front().spec,
+                                               grid.back().spec,
+                                               fig16.front().spec};
 
     const std::string dir = makeTempDir();
     core::RunCache::global().setDiskDir(dir);
@@ -345,13 +353,13 @@ TEST_F(CacheTest, DiskHitIsByteIdenticalToFreshForFigureSpecs)
 
         core::RunCache::global().clearMemory();
         core::RunCache::global().resetStats();
-        const core::RunResult miss = core::cachedRunExperiment(spec);
+        const core::RunResult miss = cachedRun(spec);
         EXPECT_EQ(core::RunCache::global().stats().misses, 1u);
 
         // Drop the memo so the next fetch must come from disk.
         core::RunCache::global().clearMemory();
         core::RunCache::global().resetStats();
-        const core::RunResult hit = core::cachedRunExperiment(spec);
+        const core::RunResult hit = cachedRun(spec);
         EXPECT_EQ(core::RunCache::global().stats().diskHits, 1u);
         EXPECT_EQ(core::RunCache::global().stats().misses, 0u);
 
@@ -373,7 +381,7 @@ TEST_F(CacheTest, CorruptCacheFilesDegradeToMisses)
     const core::ExperimentSpec spec = smallSpec();
     const std::string key = core::encodeSpecKey(spec);
     const std::string path = dir + "/" + core::cacheFileName("run", key);
-    const core::RunResult fresh = core::cachedRunExperiment(spec);
+    const core::RunResult fresh = cachedRun(spec);
     { // the store actually landed on disk
         std::ifstream in(path);
         ASSERT_TRUE(in.good());
@@ -393,7 +401,7 @@ TEST_F(CacheTest, CorruptCacheFilesDegradeToMisses)
         }
         core::RunCache::global().clearMemory();
         core::RunCache::global().resetStats();
-        const core::RunResult rerun = core::cachedRunExperiment(spec);
+        const core::RunResult rerun = cachedRun(spec);
         EXPECT_EQ(core::RunCache::global().stats().diskHits, 0u);
         EXPECT_EQ(core::RunCache::global().stats().misses, 1u);
         // The entry existed but failed validation: attributed to the
@@ -416,7 +424,7 @@ TEST_F(CacheTest, CorruptCacheFilesDegradeToMisses)
     }
     core::RunCache::global().clearMemory();
     core::RunCache::global().resetStats();
-    const core::RunResult rerun = core::cachedRunExperiment(spec);
+    const core::RunResult rerun = cachedRun(spec);
     EXPECT_EQ(core::RunCache::global().stats().diskHits, 0u);
     EXPECT_EQ(core::RunCache::global().stats().misses, 1u);
     EXPECT_EQ(core::RunCache::global().stats().corruptMisses, 1u);
@@ -428,7 +436,7 @@ TEST_F(CacheTest, CorruptCacheFilesDegradeToMisses)
     // on).
     core::RunCache::global().clearMemory();
     core::RunCache::global().resetStats();
-    expectIdentical(fresh, core::cachedRunExperiment(spec));
+    expectIdentical(fresh, cachedRun(spec));
     EXPECT_EQ(core::RunCache::global().stats().diskHits, 1u);
     EXPECT_EQ(core::RunCache::global().stats().corruptMisses, 0u);
 }

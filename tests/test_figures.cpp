@@ -10,11 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <numeric>
 #include <sstream>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "core/figures.hh"
-#include "core/figures_internal.hh"
+#include "core/leaves.hh"
 #include "core/paper.hh"
 #include "core/report.hh"
 
@@ -78,19 +81,19 @@ TEST(FigureOptions, TimescaleShrinksIntervalsProportionally)
 
     // The scaled option must shrink every grid spec's warmup and
     // measure interval by exactly the requested factor.
-    const auto specs_q = core::fig16GridSpecs(quarter);
-    const auto specs_f = core::fig16GridSpecs(full);
-    ASSERT_EQ(specs_q.size(), specs_f.size());
-    ASSERT_FALSE(specs_q.empty());
-    for (std::size_t i = 0; i < specs_q.size(); ++i) {
-        EXPECT_EQ(specs_q[i].warmup,
-                  static_cast<sim::Tick>(
-                      static_cast<double>(specs_f[i].warmup) * 0.25));
-        EXPECT_EQ(specs_q[i].measure,
-                  static_cast<sim::Tick>(
-                      static_cast<double>(specs_f[i].measure) * 0.25));
-        EXPECT_LT(specs_q[i].warmup, specs_f[i].warmup);
-        EXPECT_LT(specs_q[i].measure, specs_f[i].measure);
+    const auto leaves_q = core::figureRow("fig16").leaves(quarter);
+    const auto leaves_f = core::figureRow("fig16").leaves(full);
+    ASSERT_EQ(leaves_q.size(), leaves_f.size());
+    ASSERT_FALSE(leaves_q.empty());
+    for (std::size_t i = 0; i < leaves_q.size(); ++i) {
+        const core::ExperimentSpec &q = leaves_q[i].spec;
+        const core::ExperimentSpec &f = leaves_f[i].spec;
+        EXPECT_EQ(q.warmup, static_cast<sim::Tick>(
+                                static_cast<double>(f.warmup) * 0.25));
+        EXPECT_EQ(q.measure, static_cast<sim::Tick>(
+                                 static_cast<double>(f.measure) * 0.25));
+        EXPECT_LT(q.warmup, f.warmup);
+        EXPECT_LT(q.measure, f.measure);
     }
 
     // Zero and negative values are a fatal error naming the variable.
@@ -126,16 +129,63 @@ TEST(FigureOptions, FromEnvRejectsMalformedNumbers)
 
 TEST(FigureOptions, ValidateRejectsDirectoryKnobsOnTheSnoopBus)
 {
+    const std::vector<std::string> &paper = core::paperFigures();
     FigureOptions opt;
-    opt.validate(); // the paper's machine
+    opt.validate(paper); // the paper's machine
     opt.dirOccupancy = 4;
-    EXPECT_EXIT(opt.validate(), ::testing::ExitedWithCode(1),
+    EXPECT_EXIT(opt.validate(paper), ::testing::ExitedWithCode(1),
                 "--dir-occupancy");
     opt.protocol = sim::CoherenceProtocol::DirectoryMesi;
     opt.numaNodes = 4;
-    opt.validate();
+    opt.validate(paper);
     opt.numaNodes = 3; // does not divide the 16 L2 groups
-    EXPECT_EXIT(opt.validate(), ::testing::ExitedWithCode(1), "numaNodes");
+    EXPECT_EXIT(opt.validate(paper), ::testing::ExitedWithCode(1),
+                "numaNodes");
+}
+
+TEST(FigureLeaves, EveryLeafCarriesTheMachineOptions)
+{
+    FigureOptions opt;
+    opt.protocol = sim::CoherenceProtocol::DirectoryMesi;
+    opt.numaNodes = 2;
+    opt.topology = sim::Topology::Mesh;
+    opt.dirOccupancy = 4;
+    opt.validate(core::paperFigures());
+    for (const std::string &id : core::paperFigures()) {
+        const std::vector<core::Leaf> leaves =
+            core::figureRow(id).leaves(opt);
+        ASSERT_FALSE(leaves.empty()) << id;
+        for (const core::Leaf &leaf : leaves) {
+            const core::ExperimentSpec &s = leaf.spec;
+            SCOPED_TRACE(id + " " + core::pointName(s));
+            EXPECT_EQ(s.protocol, opt.protocol);
+            EXPECT_EQ(s.topology, opt.topology);
+            EXPECT_EQ(s.dirOccupancy, opt.dirOccupancy);
+            // The documented exceptions: a sweep point is a one-CPU
+            // machine, and Fig 16 keeps the node count that divides
+            // its L2 groups.
+            const unsigned nodes =
+                leaf.kind == core::LeafKind::Sweep ? 1u
+                : id == "fig16" ? std::gcd(opt.numaNodes,
+                                           s.totalCpus / s.cpusPerL2)
+                                : opt.numaNodes;
+            EXPECT_EQ(s.numaNodes, nodes);
+        }
+    }
+}
+
+TEST(FigureLeaves, ManycoreRefusesMachineOptions)
+{
+    const std::vector<std::string> manycore = {"fig_manycore"};
+    FigureOptions opt;
+    opt.validate(manycore);
+    opt.protocol = sim::CoherenceProtocol::DirectoryMesi;
+    EXPECT_EXIT(opt.validate(manycore), ::testing::ExitedWithCode(1),
+                "fig_manycore: --protocol");
+    opt = FigureOptions{};
+    opt.dirOccupancy = 4;
+    EXPECT_EXIT(opt.validate(manycore), ::testing::ExitedWithCode(1),
+                "fig_manycore: --dir-occupancy");
 }
 
 TEST(Report, RendersTablesAndVerdicts)
@@ -173,5 +223,37 @@ TEST(FigureHarness, Fig16RunsAtMinimalEffort)
     for (const auto &series : fig.measured) {
         for (const auto &p : series.points)
             EXPECT_GT(p.y, 0.0);
+    }
+}
+
+TEST(FigureHarness, EachCallRendersItsOwnOptions)
+{
+    // One process, several option sets: no figure may hand a later
+    // caller the results of an earlier one.
+    FigureOptions opt;
+    opt.runs = 1;
+    opt.timeScale = 0.02;
+    for (unsigned seed : {1u, 2u}) {
+        opt.seed = seed;
+        const FigureResult fig = core::runFig14(opt);
+        ASSERT_EQ(fig.metricsByPoint.size(), 2u);
+        for (const auto &[name, snap] : fig.metricsByPoint) {
+            EXPECT_NE(name.find("/seed=" + std::to_string(seed)),
+                      std::string::npos)
+                << name;
+        }
+    }
+    opt.seed = 1;
+    for (sim::CoherenceProtocol protocol :
+         {sim::CoherenceProtocol::SnoopBus,
+          sim::CoherenceProtocol::DirectoryMesi}) {
+        opt.protocol = protocol;
+        const FigureResult fig = core::runFig12(opt);
+        ASSERT_EQ(fig.metricsByPoint.size(), 4u);
+        for (const auto &[name, snap] : fig.metricsByPoint) {
+            EXPECT_EQ(name.find("/directory/") != std::string::npos,
+                      protocol == sim::CoherenceProtocol::DirectoryMesi)
+                << name;
+        }
     }
 }

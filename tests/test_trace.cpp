@@ -25,7 +25,7 @@
 
 #include "core/cache.hh"
 #include "core/experiment.hh"
-#include "core/figures_internal.hh"
+#include "core/leaves.hh"
 #include "core/trace_run.hh"
 #include "mem/trace_sink.hh"
 #include "sim/log.hh"
@@ -192,6 +192,21 @@ class TraceEndToEnd : public ::testing::Test
         SetUp();
     }
 };
+
+/** The Figure 12/13 SPECjbb sweep leaf, at `scale` warehouses. */
+core::Leaf
+sweepLeaf(unsigned scale, const core::FigureOptions &opt)
+{
+    core::Leaf leaf = core::figureRow("fig12").leaves(opt)[1];
+    leaf.spec.scale = scale;
+    return leaf;
+}
+
+core::SweepOutcome
+fetchSweep(const core::Leaf &leaf)
+{
+    return std::get<core::SweepOutcome>(core::fetchLeaf(leaf));
+}
 
 } // namespace
 
@@ -696,16 +711,14 @@ TEST_F(TraceEndToEnd, SweepPathRecordsThenReplaysIdentically)
 
     // Pass 1: execution-driven, recording the reference stream.
     core::configureTracing(dir, "");
-    const core::SweepOutcome exec = core::cachedSweepOutcome(
-        core::WorkloadKind::SpecJbb, 2, opt);
+    const core::SweepOutcome exec = fetchSweep(sweepLeaf(2, opt));
     EXPECT_FALSE(
         std::filesystem::is_empty(std::filesystem::path(dir)));
 
     // Pass 2: fresh process state, sweep satisfied purely by replay.
     core::RunCache::global().clearMemory();
     core::configureTracing("", dir);
-    const core::SweepOutcome replayed = core::cachedSweepOutcome(
-        core::WorkloadKind::SpecJbb, 2, opt);
+    const core::SweepOutcome replayed = fetchSweep(sweepLeaf(2, opt));
 
     EXPECT_GT(replayed.snap.counters.count("trace.replay.refs"), 0u)
         << "second pass must come from the trace, not execution";
@@ -733,9 +746,8 @@ TEST_F(TraceEndToEnd, SpecMismatchFallsBackToExecution)
     // scale 2's bytes — a stale/renamed file whose header does not
     // match the requested spec.
     core::configureTracing(dir, "");
-    core::cachedSweepOutcome(core::WorkloadKind::SpecJbb, 2, opt);
-    const core::SweepOutcome exec3 = core::cachedSweepOutcome(
-        core::WorkloadKind::SpecJbb, 3, opt);
+    fetchSweep(sweepLeaf(2, opt));
+    const core::SweepOutcome exec3 = fetchSweep(sweepLeaf(3, opt));
     std::vector<std::filesystem::path> files;
     for (const auto &e : std::filesystem::directory_iterator(dir))
         files.push_back(e.path());
@@ -762,8 +774,7 @@ TEST_F(TraceEndToEnd, SpecMismatchFallsBackToExecution)
     core::RunCache::global().clearMemory();
     core::configureTracing("", dir);
     sim::setQuiet(true); // the fallback warns; keep test output clean
-    const core::SweepOutcome fallback = core::cachedSweepOutcome(
-        core::WorkloadKind::SpecJbb, 3, opt);
+    const core::SweepOutcome fallback = fetchSweep(sweepLeaf(3, opt));
     sim::setQuiet(false);
 
     // The mismatched trace must be ignored, not replayed as scale 3.
@@ -774,4 +785,37 @@ TEST_F(TraceEndToEnd, SpecMismatchFallsBackToExecution)
         EXPECT_EQ(fallback.dcache[i].misses, exec3.dcache[i].misses);
 
     std::filesystem::remove_all(dir);
+}
+
+TEST_F(TraceEndToEnd, TraceInReplaysEachRecordingOncePerProcess)
+{
+    const std::string dir = makeTempDir();
+    core::FigureOptions opt;
+    opt.runs = 1;
+    opt.timeScale = 0.02;
+    opt.seed = 1;
+    const std::vector<core::Leaf> leaves =
+        core::figureRow("fig12").leaves(opt);
+
+    // Record the four Figure 12/13 sweeps.
+    core::configureTracing(dir, "");
+    core::fetchLeaves(leaves);
+
+    // A fresh process under --trace-in: the campaign prefetch replays
+    // every recording once...
+    core::RunCache::global().clearMemory();
+    core::configureTracing("", dir);
+    core::fetchLeaves(leaves);
+
+    // ...and rendering both figures needs no recording again: with
+    // them gone, every point is still the replay, not an execution.
+    std::filesystem::remove_all(dir);
+    for (const core::FigureResult &fig :
+         {core::runFig12(opt), core::runFig13(opt)}) {
+        ASSERT_EQ(fig.metricsByPoint.size(), leaves.size());
+        for (const auto &[name, snap] : fig.metricsByPoint) {
+            EXPECT_EQ(snap.counters.count("trace.replay.refs"), 1u)
+                << fig.id << " " << name;
+        }
+    }
 }
