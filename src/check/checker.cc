@@ -21,7 +21,7 @@ Checker::Checker(mem::Hierarchy &hierarchy, os::Scheduler &sched,
     schedCk_ = std::make_unique<SchedChecker>(sched, report_);
     jvmCk_ = std::make_unique<JvmChecker>(jvm, gc_cpu, report_,
                                           mem_.get());
-    hierarchy_->setAccessObserver(mem_.get());
+    hierarchy_->attachTap(mem_.get());
     sched_->setObserver(schedCk_.get());
     jvm_->setObserver(jvmCk_.get());
 }
@@ -30,12 +30,12 @@ Checker::Checker(mem::Hierarchy &hierarchy, const CheckOptions &opts)
     : hierarchy_(&hierarchy), report_(opts)
 {
     mem_ = std::make_unique<MemChecker>(hierarchy, report_);
-    hierarchy_->setAccessObserver(mem_.get());
+    hierarchy_->attachTap(mem_.get());
 }
 
 Checker::~Checker()
 {
-    hierarchy_->setAccessObserver(nullptr);
+    hierarchy_->detachTap(mem_.get());
     if (sched_)
         sched_->setObserver(nullptr);
     if (jvm_)

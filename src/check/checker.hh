@@ -6,9 +6,9 @@
  * (memory, scheduler, JVM), attaches them on construction and
  * detaches on destruction. Checking is opt-in: figure drivers arm it
  * via --check or MIDDLESIM_CHECK=1; when off, the observers are never
- * constructed and every layer pays only a null-pointer branch (the
- * mem::TraceSink pattern). Attaching a checker never changes
- * simulation results — observers are read-only by contract.
+ * constructed and every layer pays only a null-pointer branch (on the
+ * hierarchy, its one empty-tap-list test). Attaching a checker never
+ * changes simulation results — observers are read-only by contract.
  */
 
 #ifndef CHECK_CHECKER_HH

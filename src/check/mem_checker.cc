@@ -486,8 +486,11 @@ MemChecker::postAccess(const mem::MemRef &ref,
 }
 
 void
-MemChecker::onInvalidateAll()
+MemChecker::annotation(mem::TraceAnnotation kind, unsigned, sim::Tick,
+                       std::uint64_t)
 {
+    if (kind != mem::TraceAnnotation::InvalidateAll)
+        return;
     shadow_.clear();
     copyCounts_.clear();
 }

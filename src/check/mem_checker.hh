@@ -2,7 +2,7 @@
  * @file
  * Memory-system invariant checker.
  *
- * Attached to a mem::Hierarchy as its AccessObserver, the checker
+ * Attached to a mem::Hierarchy as one of its taps, the checker
  * maintains an independent shadow model of every block it has seen
  * and verifies, on every access:
  *
@@ -60,7 +60,9 @@ class MemChecker final : public mem::AccessObserver
     void preAccess(const mem::MemRef &ref, sim::Tick now) override;
     void postAccess(const mem::MemRef &ref, const mem::AccessResult &res,
                     sim::Tick now) override;
-    void onInvalidateAll() override;
+    /** InvalidateAll drops the shadow model with the caches. */
+    void annotation(mem::TraceAnnotation kind, unsigned cpu,
+                    sim::Tick now, std::uint64_t arg) override;
 
     /**
      * Arm the stop-the-world window checks: young generation

@@ -44,7 +44,7 @@ probe(const trace::TraceHeader &header,
     opts.maxViolations = 1;
     CheckReport report(opts);
     MemChecker checker(*hierarchy, report);
-    hierarchy->setAccessObserver(&checker);
+    hierarchy->attachTap(&checker);
 
     for (std::size_t i = 0; i < records.size(); ++i) {
         const trace::TraceRecord &rec = records[i];

@@ -195,10 +195,10 @@ encodeSystemConfig(sim::ByteWriter &w, const SystemConfig &c)
 } // namespace
 
 std::string
-encodeSpecKey(const ExperimentSpec &spec)
+encodeSpecKey(const ExperimentSpec &spec, const char *version)
 {
     sim::ByteWriter w;
-    w.str(cacheSchemaVersion);
+    w.str(version);
     w.u8(spec.workload == WorkloadKind::SpecJbb ? 0 : 1);
     w.u32(spec.appCpus);
     w.u32(spec.totalCpus);

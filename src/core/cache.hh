@@ -49,9 +49,11 @@ inline constexpr const char *cacheSchemaVersion = "middlesim-cache-v3";
  * every field of the spec and every nested SystemConfig / machine /
  * latency / core / JVM / kernel / workload parameter, in a fixed
  * order. Two specs have equal keys iff every field is equal; the key
- * is the content address of the simulation.
+ * is the content address of the simulation. `version` is the leading
+ * stamp (core::traceKeyVersion for trace names and headers).
  */
-std::string encodeSpecKey(const ExperimentSpec &spec);
+std::string encodeSpecKey(const ExperimentSpec &spec,
+                          const char *version = cacheSchemaVersion);
 
 /** File name of a cached payload: "<kind>-<fnv1a64 hex>.msc". */
 std::string cacheFileName(const std::string &kind,

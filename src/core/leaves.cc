@@ -289,14 +289,14 @@ simulateSweep(const ExperimentSpec &spec)
     auto system = buildSystem(spec, workload);
     auto writer = beginTraceRecording(*system, spec);
     // Warm both the hierarchy and the sweep caches, then count only
-    // the measured interval.
-    system->memory().setSweepTap(&sweep);
+    // the measured interval: beginMeasurement()'s StatsReset zeroes
+    // the sweep's counters, as it does on replay.
+    system->memory().attachTap(&sweep);
     system->run(spec.warmup);
-    sweep.resetCounters();
     system->beginMeasurement();
     system->run(spec.measure);
     sweep.countInstructions(system->appCpi().instructions);
-    system->memory().setSweepTap(nullptr);
+    system->memory().detachTap(&sweep);
     finishTraceRecording(std::move(writer), *system, spec);
 
     SweepOutcome out;
@@ -359,7 +359,7 @@ replaySweep(const ExperimentSpec &spec)
              "); falling back to execution");
         return std::nullopt;
     }
-    if (replay.header.specKey != encodeSpecKey(spec)) {
+    if (replay.header.specKey != traceSpecKey(spec)) {
         warn("trace: '", path,
              "' records a different spec; falling back to execution");
         return std::nullopt;

@@ -63,9 +63,15 @@ traceInDir()
 }
 
 std::string
+traceSpecKey(const ExperimentSpec &spec)
+{
+    return encodeSpecKey(spec, traceKeyVersion);
+}
+
+std::string
 traceFileName(const ExperimentSpec &spec)
 {
-    const std::string key = encodeSpecKey(spec);
+    const std::string key = traceSpecKey(spec);
     return "trace-" + sim::hashHex(sim::fnv1a64("trace\x1f" + key)) +
            trace::traceFileExt;
 }
@@ -81,7 +87,7 @@ traceHeaderFor(System &system, const ExperimentSpec &spec)
 {
     const mem::Hierarchy &h = system.memory();
     trace::TraceHeader header;
-    header.specKey = encodeSpecKey(spec);
+    header.specKey = traceSpecKey(spec);
     header.label = pointName(spec);
     const sim::MachineConfig &m = h.config();
     header.totalCpus = m.totalCpus;
@@ -197,7 +203,7 @@ replayTraceHierarchy(std::string trace_data,
 }
 
 SweepReplayOutcome
-replayTraceSweep(std::string trace_data, mem::SweepEngine engine)
+replayTraceSweep(std::string trace_data)
 {
     SweepReplayOutcome out;
     trace::TraceReader reader(std::move(trace_data));
@@ -206,8 +212,7 @@ replayTraceSweep(std::string trace_data, mem::SweepEngine engine)
         return out;
     }
     out.header = reader.header();
-    mem::SweepSimulator sweep{mem::SweepSimulator::paperSweep(),
-                              engine};
+    mem::SweepSimulator sweep{mem::SweepSimulator::paperSweep()};
     out.engine = sweep.engineName();
     out.counts = trace::replayTrace(reader, nullptr, &sweep);
     if (!reader.complete()) {
@@ -217,34 +222,6 @@ replayTraceSweep(std::string trace_data, mem::SweepEngine engine)
     out.icache = sweep.icacheResults();
     out.dcache = sweep.dcacheResults();
     out.instructions = sweep.instructions();
-    out.valid = true;
-    return out;
-}
-
-SweepReplayOutcome
-replayTraceSweepPerConfig(const std::string &trace_data)
-{
-    SweepReplayOutcome out;
-    out.engine = "per-config-replay";
-    const std::vector<sim::CacheParams> configs =
-        mem::SweepSimulator::paperSweep();
-    for (const sim::CacheParams &params : configs) {
-        trace::TraceReader reader(trace_data);
-        if (!reader.ok()) {
-            out.error = reader.error();
-            return out;
-        }
-        out.header = reader.header();
-        mem::SweepSimulator sweep{{params}, mem::SweepEngine::Legacy};
-        out.counts = trace::replayTrace(reader, nullptr, &sweep);
-        if (!reader.complete()) {
-            out.error = reader.error();
-            return out;
-        }
-        out.icache.push_back(sweep.icacheResults().front());
-        out.dcache.push_back(sweep.dcacheResults().front());
-        out.instructions = sweep.instructions();
-    }
     out.valid = true;
     return out;
 }

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "core/experiment.hh"
+#include "mem/sweep.hh"
 #include "trace/replay.hh"
 #include "trace/writer.hh"
 
@@ -41,6 +42,16 @@ void configureTracing(const std::string &out_dir,
 
 const std::string &traceOutDir();
 const std::string &traceInDir();
+
+/**
+ * Version tag of the spec key traces are named and headed by. Frozen,
+ * and separate from cacheSchemaVersion (whose value it shares today),
+ * so a RunCache codec bump renames no recorded trace.
+ */
+inline constexpr const char *traceKeyVersion = "middlesim-cache-v3";
+
+/** The spec key of trace names and headers (traceKeyVersion). */
+std::string traceSpecKey(const ExperimentSpec &spec);
 
 /** Content-addressed trace file name: "trace-<fnv1a64 hex>.mst". */
 std::string traceFileName(const ExperimentSpec &spec);
@@ -131,23 +142,9 @@ struct SweepReplayOutcome
 
 /**
  * One decode of the trace through a SweepSimulator covering every
- * paper-sweep geometry. The default engine (Auto) resolves to the
- * single-pass stack-distance engine for the paper sweep; results are
- * bit-identical across engines.
+ * paper-sweep geometry (the single-pass set-refinement engine).
  */
-SweepReplayOutcome
-replayTraceSweep(std::string trace_data,
-                 mem::SweepEngine engine = mem::SweepEngine::Auto);
-
-/**
- * Benchmarking baseline: replay the trace once per paper-sweep
- * geometry, each pass decoding the whole stream into a single-config
- * legacy SweepSimulator, then merge the per-config results. Same
- * numbers as replayTraceSweep at N-times the decode and walk cost —
- * this is the "per-size replay" column of BENCH_sweep.json.
- */
-SweepReplayOutcome
-replayTraceSweepPerConfig(const std::string &trace_data);
+SweepReplayOutcome replayTraceSweep(std::string trace_data);
 
 /**
  * Figure 16 sharing study from one SMP recording: build one hierarchy

@@ -185,24 +185,9 @@ cmdReplay(const std::string &path,
 }
 
 int
-cmdSweep(const std::string &path, const std::string &mode)
+cmdSweep(const std::string &path)
 {
-    // Mode only selects how the counts are computed; stdout is
-    // byte-identical across modes (mode info goes to stderr) so the
-    // equivalence harness can diff the outputs directly.
-    SweepReplayOutcome out;
-    if (mode == "auto")
-        out = replayTraceSweep(loadTrace(path));
-    else if (mode == "legacy")
-        out = replayTraceSweep(loadTrace(path),
-                               mem::SweepEngine::Legacy);
-    else if (mode == "single-pass")
-        out = replayTraceSweep(loadTrace(path),
-                               mem::SweepEngine::SinglePass);
-    else if (mode == "per-config")
-        out = replayTraceSweepPerConfig(loadTrace(path));
-    else
-        fatal("middlesim-trace: unknown sweep mode '", mode, "'");
+    const SweepReplayOutcome out = replayTraceSweep(loadTrace(path));
     if (!out.valid)
         fatal("middlesim-trace: '", path, "': ", out.error);
     std::fprintf(stderr, "sweep engine: %s\n", out.engine.c_str());
@@ -284,7 +269,6 @@ struct Args
     ExperimentSpec spec;
     std::string out;
     trace::ReplayOverrides overrides;
-    std::string sweepMode = "auto";
     std::string sharingMode = "single-pass";
     std::uint64_t limit = 100;
 
@@ -364,10 +348,6 @@ commandFlags(const std::string &cmd, Args &a)
              sim::store(a.overrides.cpusPerL2, 1)},
         };
     }
-    if (cmd == "sweep")
-        return {{"mode", nullptr, "auto|legacy|single-pass|per-config",
-                 "sweep engine (auto); stdout is the same for all",
-                 sim::store(a.sweepMode)}};
     if (cmd == "sharing")
         return {{"mode", nullptr, "single-pass|per-degree",
                  "replay strategy (single-pass); stdout is the same",
@@ -426,7 +406,7 @@ traceToolMain(int argc, char **argv)
     if (cmd == "replay")
         return cmdReplay(path, a.overrides);
     if (cmd == "sweep")
-        return cmdSweep(path, a.sweepMode);
+        return cmdSweep(path);
     return cmdSharing(path, a.sharingMode);
 }
 

@@ -28,7 +28,7 @@ ExploreScheduler::reset()
     report_ = std::make_unique<check::CheckReport>(opts);
     checker_ =
         std::make_unique<check::MemChecker>(*hierarchy_, *report_);
-    hierarchy_->setAccessObserver(checker_.get());
+    hierarchy_->attachTap(checker_.get());
     std::fill(pos_.begin(), pos_.end(), 0);
     executedCount_ = 0;
     executed_.clear();

@@ -1,5 +1,6 @@
 #include "mem/hierarchy.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "sim/log.hh"
@@ -59,13 +60,51 @@ Hierarchy::Hierarchy(const sim::MachineConfig &config,
         l2_.emplace_back(cfg_.l2);
 }
 
+void
+Hierarchy::attachTap(AccessObserver *tap)
+{
+    if (std::find(taps_.begin(), taps_.end(), tap) == taps_.end())
+        taps_.push_back(tap);
+}
+
+void
+Hierarchy::detachTap(AccessObserver *tap)
+{
+    taps_.erase(std::remove(taps_.begin(), taps_.end(), tap),
+                taps_.end());
+}
+
+void
+Hierarchy::replaceTap(AccessObserver *&slot, AccessObserver *tap)
+{
+    if (slot)
+        detachTap(slot);
+    slot = tap;
+    if (tap)
+        attachTap(tap);
+}
+
+void
+Hierarchy::annotate(TraceAnnotation kind)
+{
+    for (AccessObserver *tap : taps_)
+        tap->annotation(kind, 0, 0, 0);
+}
+
+AccessResult
+Hierarchy::tappedAccess(const MemRef &ref, sim::Tick now)
+{
+    for (AccessObserver *tap : taps_)
+        tap->preAccess(ref, now);
+    const AccessResult res = accessImpl(ref, now);
+    for (AccessObserver *tap : taps_)
+        tap->postAccess(ref, res, now);
+    return res;
+}
+
 AccessResult
 Hierarchy::accessImpl(const MemRef &ref, sim::Tick now)
 {
-    if (traceSink_)
-        traceSink_->ref(ref, now);
-    if (sweepTap_)
-        sweepTap_->access(ref);
     CacheStats &st = stats_[ref.cpu];
 
     switch (ref.type) {
@@ -414,8 +453,7 @@ Hierarchy::aggregateAll() const
 void
 Hierarchy::resetStats()
 {
-    if (traceSink_)
-        traceSink_->annotation(TraceAnnotation::StatsReset, 0, 0, 0);
+    annotate(TraceAnnotation::StatsReset);
     for (auto &st : stats_)
         st = CacheStats();
     bus_.reset();
@@ -432,8 +470,7 @@ Hierarchy::setCommunicationTracking(bool on)
 void
 Hierarchy::resetCommunicationTracking()
 {
-    if (traceSink_)
-        traceSink_->annotation(TraceAnnotation::CommTrackReset, 0, 0, 0);
+    annotate(TraceAnnotation::CommTrackReset);
     c2cPerLine_.reset();
     touchedCount_ = 0;
     meta_.forEach([](Addr, LineMeta &meta) {
@@ -464,9 +501,7 @@ Hierarchy::defineRegion(const std::string &name, Addr base,
 void
 Hierarchy::resetRegionStats()
 {
-    if (traceSink_)
-        traceSink_->annotation(TraceAnnotation::RegionStatsReset, 0, 0,
-                               0);
+    annotate(TraceAnnotation::RegionStatsReset);
     for (Region &region : regions_) {
         region.missCold = 0;
         region.missCoherence = 0;
@@ -477,10 +512,7 @@ Hierarchy::resetRegionStats()
 void
 Hierarchy::invalidateAll()
 {
-    if (traceSink_)
-        traceSink_->annotation(TraceAnnotation::InvalidateAll, 0, 0, 0);
-    if (observer_)
-        observer_->onInvalidateAll();
+    annotate(TraceAnnotation::InvalidateAll);
     for (auto &c : l1i_)
         c.invalidateAll();
     for (auto &c : l1d_)

@@ -36,7 +36,6 @@
 #include "mem/latency.hh"
 #include "mem/memref.hh"
 #include "mem/stats.hh"
-#include "mem/sweep.hh"
 #include "mem/trace_sink.hh"
 #include "sim/config.hh"
 #include "sim/metrics.hh"
@@ -98,12 +97,9 @@ class Hierarchy
     AccessResult
     access(const MemRef &ref, sim::Tick now)
     {
-        if (observer_)
-            observer_->preAccess(ref, now);
-        const AccessResult res = accessImpl(ref, now);
-        if (observer_)
-            observer_->postAccess(ref, res, now);
-        return res;
+        if (taps_.empty()) [[likely]]
+            return accessImpl(ref, now);
+        return tappedAccess(ref, now);
     }
 
     /** L2 group serving a CPU. */
@@ -138,26 +134,32 @@ class Hierarchy
     const TimelineSampler *timeline() const { return timeline_.get(); }
 
     /**
-     * Mirror every reference into a SweepSimulator (Figures 12/13).
-     * The sweep sees the raw reference stream before this hierarchy
-     * filters it; pass nullptr to detach.
+     * Attach a tap (mem/access_observer.hh): it hears every reference
+     * before and after this hierarchy processes it, in processing
+     * order, and every reset / invalidate point as an annotation.
+     * Taps are read-only: attaching one never changes simulation
+     * results. Attaching an attached tap is a no-op.
      */
-    void setSweepTap(SweepSimulator *sweep) { sweepTap_ = sweep; }
+    void attachTap(AccessObserver *tap);
+
+    /** Detach a tap; a no-op when it is not attached. */
+    void detachTap(AccessObserver *tap);
 
     /**
-     * Record every reference (and stat-reset annotations) into a
-     * trace sink. The sink sees the stream before any filtering, in
-     * the exact order this hierarchy processes it; pass nullptr to
-     * detach. Recording never changes simulation behavior.
+     * Attach a trace sink as a tap, replacing the sink this setter
+     * last attached; nullptr detaches it.
      */
-    void setTraceSink(TraceSink *sink) { traceSink_ = sink; }
+    void setTraceSink(TraceSink *sink) { replaceTap(sinkTap_, sink); }
 
     /**
-     * Attach an invariant-checking observer (src/check/); nullptr
-     * detaches. Observers are read-only: attaching one never changes
-     * simulation results.
+     * Attach an observer as a tap, replacing the observer this setter
+     * last attached; nullptr detaches it.
      */
-    void setAccessObserver(AccessObserver *obs) { observer_ = obs; }
+    void
+    setAccessObserver(AccessObserver *obs)
+    {
+        replaceTap(observerTap_, obs);
+    }
 
     /**
      * Install a deterministic coherence fault (tests/stress only);
@@ -249,8 +251,17 @@ class Hierarchy
     const LatencyModel &latency() const { return lat_; }
 
   private:
-    /** The access dispatch proper (observer hooks live in access()). */
+    /** The access dispatch proper (taps are called in access()). */
     AccessResult accessImpl(const MemRef &ref, sim::Tick now);
+
+    /** access() with taps attached: pre, dispatch, post. */
+    AccessResult tappedAccess(const MemRef &ref, sim::Tick now);
+
+    /** Tell every tap about a hierarchy reset / invalidate point. */
+    void annotate(TraceAnnotation kind);
+
+    /** Swap the tap held in `slot` (a setter's last) for `tap`. */
+    void replaceTap(AccessObserver *&slot, AccessObserver *tap);
 
     AccessResult l2Access(const MemRef &ref, sim::Tick now,
                           bool is_instr, bool want_write);
@@ -347,9 +358,10 @@ class Hierarchy
     std::uint64_t touchedCount_ = 0;
 
     std::unique_ptr<TimelineSampler> timeline_;
-    SweepSimulator *sweepTap_ = nullptr;
-    TraceSink *traceSink_ = nullptr;
-    AccessObserver *observer_ = nullptr;
+    std::vector<AccessObserver *> taps_;
+    /** What setTraceSink / setAccessObserver last attached. */
+    AccessObserver *sinkTap_ = nullptr;
+    AccessObserver *observerTap_ = nullptr;
     const FaultPlan *fault_ = nullptr;
 };
 

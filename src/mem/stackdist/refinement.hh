@@ -12,9 +12,9 @@
  * reference stream updates every geometry at once.
  *
  * Per-geometry miss counts are bit-identical to simulating each
- * configuration with its own CacheArray (the legacy SweepSimulator
- * walk); tests/test_stackdist.cpp enforces this across randomized
- * geometries. When the configurations form an inclusion chain (same
+ * configuration with its own CacheArray (the oracle in
+ * tests/sweep_oracle.hh); tests/test_stackdist.cpp enforces this
+ * across randomized geometries. When the configurations form an inclusion chain (same
  * block size and associativity, set counts refining), the engine
  * additionally bins every countable reference by its *critical
  * level* — the smallest configuration that hits — producing the
@@ -58,8 +58,8 @@ class RefinementSweep
     /**
      * Feed one reference to every geometry. `count_miss` is false for
      * block-initializing stores: they install (update recency) but
-     * are never counted as misses, mirroring
-     * SweepSimulator::accessBank.
+     * are never counted as misses (the write-allocate sweep
+     * convention of SweepSimulator).
      */
     void access(Addr addr, bool count_miss);
 

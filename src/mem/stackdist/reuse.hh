@@ -53,7 +53,8 @@ class ReuseDistanceTracker
     /**
      * Feed one reference. `count_miss` is false for block-initializing
      * stores: they update recency (the line is installed) but are
-     * never counted as misses, mirroring SweepSimulator::accessBank.
+     * never counted as misses (the write-allocate sweep convention of
+     * SweepSimulator).
      */
     void access(Addr addr, bool count_miss);
 

@@ -1,5 +1,7 @@
 #include "mem/sweep.hh"
 
+#include "sim/log.hh"
+
 namespace middlesim::mem
 {
 
@@ -46,47 +48,33 @@ isFullyAssociativeLadder(const std::vector<sim::CacheParams> &configs)
 } // namespace
 
 SweepSimulator::SweepSimulator(
-    const std::vector<sim::CacheParams> &configs, SweepEngine engine)
+    const std::vector<sim::CacheParams> &configs)
     : inclusionChain_(isInclusionChain(configs))
 {
-    if (engine != SweepEngine::Legacy) {
-        // The fully-associative check comes first: such ladders also
-        // pass the refinement check when the associativity is small,
-        // but the O(log n) tracker scales to any capacity.
-        if (isFullyAssociativeLadder(configs))
-            resolved_ = Resolved::ReuseStack;
-        else if (stackdist::RefinementSweep::suitable(configs))
-            resolved_ = Resolved::Refinement;
-        else if (engine == SweepEngine::SinglePass)
-            fatal("sweep: configurations admit no single-pass engine "
-                  "(need one power-of-two block size and power-of-two "
-                  "set counts)");
-    }
+    // The fully-associative check comes first: such ladders also pass
+    // the refinement check when the associativity is small, but the
+    // O(log n) tracker scales to any capacity.
+    const bool ladder = isFullyAssociativeLadder(configs);
+    if (!ladder && !stackdist::RefinementSweep::suitable(configs))
+        fatal("sweep: configurations admit no single-pass engine "
+              "(need one power-of-two block size and power-of-two "
+              "set counts with at most ",
+              stackdist::RefinementSweep::kMaxAssoc,
+              " ways, or a fully-associative ladder)");
 
+    std::vector<std::uint64_t> capacities;
+    for (const auto &params : configs)
+        capacities.push_back(params.numBlocks());
     for (Bank *bank : {&ibank_, &dbank_}) {
         for (const auto &params : configs)
             bank->results.push_back({params, 0, 0});
-        switch (resolved_) {
-          case Resolved::Refinement:
-            bank->refine =
-                std::make_unique<stackdist::RefinementSweep>(configs);
-            break;
-          case Resolved::ReuseStack: {
-            std::vector<std::uint64_t> capacities;
-            capacities.reserve(configs.size());
-            for (const auto &params : configs)
-                capacities.push_back(params.numBlocks());
+        if (ladder) {
             bank->reuse =
                 std::make_unique<stackdist::ReuseDistanceTracker>(
                     capacities, configs.front().blockBytes);
-            break;
-          }
-          case Resolved::Legacy:
-            bank->caches.reserve(configs.size());
-            for (const auto &params : configs)
-                bank->caches.emplace_back(params);
-            bank->lastLines.assign(configs.size(), nullptr);
-            break;
+        } else {
+            bank->refine =
+                std::make_unique<stackdist::RefinementSweep>(configs);
         }
     }
 }
@@ -103,15 +91,7 @@ SweepSimulator::paperSweep()
 const char *
 SweepSimulator::engineName() const
 {
-    switch (resolved_) {
-      case Resolved::Refinement:
-        return "stackdist-refinement";
-      case Resolved::ReuseStack:
-        return "stackdist-reuse";
-      case Resolved::Legacy:
-        break;
-    }
-    return "legacy-walk";
+    return ibank_.refine ? "stackdist-refinement" : "stackdist-reuse";
 }
 
 const std::vector<std::uint64_t> *
@@ -133,69 +113,10 @@ SweepSimulator::dcriticalHistogram() const
 void
 SweepSimulator::accessBank(Bank &bank, Addr addr, bool count_misses)
 {
-    if (bank.refine) {
+    if (bank.refine)
         bank.refine->access(addr, count_misses);
-        return;
-    }
-    if (bank.reuse) {
+    else
         bank.reuse->access(addr, count_misses);
-        return;
-    }
-
-    ++bank.accesses;
-    const std::size_t n = bank.caches.size();
-
-    if (inclusionChain_) {
-        const Addr block =
-            n ? bank.caches[0].blockAddr(addr) : addr;
-        if (block == bank.lastBlock) {
-            // Same block as the previous reference in this bank:
-            // nothing was displaced in between, so every memoized
-            // line pointer is still current — touch and done.
-            for (std::size_t i = 0; i < n; ++i)
-                bank.caches[i].touch(*bank.lastLines[i]);
-            return;
-        }
-        bool hit = false;
-        for (std::size_t i = 0; i < n; ++i) {
-            CacheArray &cache = bank.caches[i];
-            if (hit) {
-                // Inclusion: a hit below implies a hit here; only
-                // the LRU clock needs updating.
-                CacheLine *line = cache.find(addr);
-                sim_assert(line, "sweep inclusion violated");
-                cache.touch(*line);
-                bank.lastLines[i] = line;
-                continue;
-            }
-            if (CacheLine *line = cache.find(addr)) {
-                cache.touch(*line);
-                bank.lastLines[i] = line;
-                hit = true;
-                continue;
-            }
-            if (count_misses)
-                ++bank.results[i].misses;
-            CacheLine &frame = cache.victim(addr);
-            cache.install(frame, addr, CoherenceState::Shared);
-            bank.lastLines[i] = &frame;
-        }
-        bank.lastBlock = block;
-        return;
-    }
-
-    // Generic configurations: independent per-config walk.
-    for (std::size_t i = 0; i < n; ++i) {
-        CacheArray &cache = bank.caches[i];
-        if (CacheLine *line = cache.find(addr)) {
-            cache.touch(*line);
-        } else {
-            if (count_misses)
-                ++bank.results[i].misses;
-            CacheLine &frame = cache.victim(addr);
-            cache.install(frame, addr, CoherenceState::Shared);
-        }
-    }
 }
 
 void
@@ -211,22 +132,25 @@ SweepSimulator::access(const MemRef &ref)
     }
 }
 
+void
+SweepSimulator::annotation(TraceAnnotation kind, unsigned, sim::Tick,
+                           std::uint64_t arg)
+{
+    if (kind == TraceAnnotation::StatsReset)
+        resetCounters();
+    else if (kind == TraceAnnotation::Instructions)
+        countInstructions(arg);
+}
+
 const std::vector<SweepResult> &
 SweepSimulator::syncedResults(const Bank &bank) const
 {
-    if (bank.refine) {
-        for (std::size_t i = 0; i < bank.results.size(); ++i) {
-            bank.results[i].accesses = bank.refine->accesses();
-            bank.results[i].misses = bank.refine->misses(i);
-        }
-    } else if (bank.reuse) {
-        for (std::size_t i = 0; i < bank.results.size(); ++i) {
-            bank.results[i].accesses = bank.reuse->accesses();
-            bank.results[i].misses = bank.reuse->misses(i);
-        }
-    } else {
-        for (auto &r : bank.results)
-            r.accesses = bank.accesses;
+    for (std::size_t i = 0; i < bank.results.size(); ++i) {
+        bank.results[i].accesses = bank.refine
+            ? bank.refine->accesses()
+            : bank.reuse->accesses();
+        bank.results[i].misses = bank.refine ? bank.refine->misses(i)
+                                             : bank.reuse->misses(i);
     }
     return bank.results;
 }
@@ -259,17 +183,14 @@ void
 SweepSimulator::resetCounters()
 {
     // Cache contents survive a counter reset (the warmup boundary),
-    // and so does the repeated-block memo in every engine: the
-    // memoized block is still resident and still MRU, so a
-    // post-reset repeat is correctly scored as a hit (regression
-    // tested in tests/test_sweep.cpp).
+    // and so does each engine's repeated-block memo: the memoized
+    // block is still resident and still MRU, so a post-reset repeat
+    // is correctly scored as a hit (regression tested in
+    // tests/test_sweep.cpp).
     for (Bank *bank : {&ibank_, &dbank_}) {
-        for (auto &r : bank->results)
-            r = {r.params, 0, 0};
-        bank->accesses = 0;
         if (bank->refine)
             bank->refine->resetCounters();
-        if (bank->reuse)
+        else
             bank->reuse->resetCounters();
     }
     instructions_ = 0;
@@ -279,16 +200,9 @@ void
 SweepSimulator::reset()
 {
     for (Bank *bank : {&ibank_, &dbank_}) {
-        for (auto &c : bank->caches)
-            c.invalidateAll();
-        for (auto &r : bank->results)
-            r = {r.params, 0, 0};
-        bank->accesses = 0;
-        bank->lastBlock = kNoBlock;
-        bank->lastLines.assign(bank->caches.size(), nullptr);
         if (bank->refine)
             bank->refine->reset();
-        if (bank->reuse)
+        else
             bank->reuse->reset();
     }
     instructions_ = 0;

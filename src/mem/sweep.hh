@@ -14,25 +14,27 @@
  * processor) and stores allocate (write-back, write-allocate), which
  * is the conventional configuration for miss-ratio sweeps.
  *
- * Engines (selected automatically, or forced via SweepEngine):
+ * The sweep is a reference-stream tap (mem/access_observer.hh): attach
+ * it to a Hierarchy and it hears every reference the execution-driven
+ * run makes, or hand it to trace::replayTraceFanout to score a
+ * recording. A StatsReset annotation (the warmup boundary) zeroes its
+ * counters and an Instructions annotation adds to its MPKI
+ * denominator, so live runs and replays follow one protocol.
  *
- *  - Single-pass stack-distance (src/mem/stackdist/): the default
- *    whenever the geometries admit it. Set-associative ladders (the
- *    paper sweep, and any power-of-two geometry list sharing a block
- *    size) use the exact set-refinement engine — per-set recency rows
- *    updated once per reference, every geometry at once, with a
- *    critical-level histogram when the configurations form an
- *    inclusion chain. Fully-associative ladders use the exact
- *    O(log n) Fenwick-tree reuse-distance tracker. Miss and access
- *    counts are bit-identical to the legacy walk (enforced in
- *    tests/test_sweep.cpp and tests/test_stackdist.cpp).
+ * One engine family scores every geometry in a single pass
+ * (src/mem/stackdist/), chosen from the geometry list:
  *
- *  - Legacy per-configuration walk: one CacheArray per geometry, with
- *    an LRU-inclusion fast path for chains (hit below implies hit
- *    above; a repeated block skips tag search via a memo). Retained
- *    for geometries the single-pass engines cannot represent and as
- *    the reference implementation the stack-distance results are
- *    validated against.
+ *  - Fully-associative ladders use the exact O(log n) Fenwick-tree
+ *    reuse-distance tracker.
+ *  - Other lists with one power-of-two block size and power-of-two
+ *    set counts (the paper sweep among them) use the exact
+ *    set-refinement engine: per-set recency rows updated once per
+ *    reference, every geometry at once, with a critical-level
+ *    histogram when the configurations form an inclusion chain.
+ *
+ * Any other geometry list is a fatal error. Miss and access counts
+ * equal an independent per-configuration CacheArray walk, the test
+ * oracle in tests/sweep_oracle.hh.
  */
 
 #ifndef MEM_SWEEP_HH
@@ -42,7 +44,7 @@
 #include <memory>
 #include <vector>
 
-#include "mem/cache_array.hh"
+#include "mem/access_observer.hh"
 #include "mem/memref.hh"
 #include "mem/stackdist/refinement.hh"
 #include "mem/stackdist/reuse.hh"
@@ -68,23 +70,12 @@ struct SweepResult
     }
 };
 
-/** Engine selection for SweepSimulator. */
-enum class SweepEngine
-{
-    /** Single-pass when the geometries admit it, else legacy. */
-    Auto,
-    /** Force the per-configuration CacheArray walk. */
-    Legacy,
-    /** Require a single-pass engine; fatal if none fits. */
-    SinglePass,
-};
-
 /** Bank of independent caches fed a common reference stream. */
-class SweepSimulator
+class SweepSimulator final : public AccessObserver
 {
   public:
-    explicit SweepSimulator(const std::vector<sim::CacheParams> &configs,
-                            SweepEngine engine = SweepEngine::Auto);
+    /** Fatal when no single-pass engine admits `configs`. */
+    explicit SweepSimulator(const std::vector<sim::CacheParams> &configs);
 
     /** The standard sweep of the paper: 64 KB..16 MB, 4-way, 64 B. */
     static std::vector<sim::CacheParams> paperSweep();
@@ -92,7 +83,14 @@ class SweepSimulator
     /** Feed one reference to the appropriate bank of all caches. */
     void access(const MemRef &ref);
 
-    /** Count one executed instruction (denominator of MPKI). */
+    /** As a tap: feed the reference to the sweep. */
+    void preAccess(const MemRef &ref, sim::Tick) override { access(ref); }
+
+    /** As a tap: StatsReset zeroes counters, Instructions counts. */
+    void annotation(TraceAnnotation kind, unsigned cpu, sim::Tick now,
+                    std::uint64_t arg) override;
+
+    /** Count executed instructions (denominator of MPKI). */
     void countInstructions(std::uint64_t n) { instructions_ += n; }
 
     std::uint64_t instructions() const { return instructions_; }
@@ -107,13 +105,6 @@ class SweepSimulator
 
     /** True when the configs form an LRU set-refinement chain. */
     bool inclusionChain() const { return inclusionChain_; }
-
-    /** True when a single-pass stack-distance engine is active. */
-    bool
-    singlePass() const
-    {
-        return resolved_ != Resolved::Legacy;
-    }
 
     /** Human-readable name of the active engine. */
     const char *engineName() const;
@@ -135,26 +126,10 @@ class SweepSimulator
     void resetCounters();
 
   private:
-    /** The engine the constructor settled on. */
-    enum class Resolved
-    {
-        Legacy,
-        Refinement,
-        ReuseStack,
-    };
-
     /** One side (I or D) of the split sweep. */
     struct Bank
     {
-        // Legacy walk state.
-        std::vector<CacheArray> caches; // smallest to largest
-        /** Accesses are identical across configs: one counter. */
-        std::uint64_t accesses = 0;
-        /** Memo of the previous reference's block and lines. */
-        Addr lastBlock = kNoBlock;
-        std::vector<CacheLine *> lastLines;
-
-        // Single-pass engines (at most one non-null).
+        // Exactly one engine is non-null.
         std::unique_ptr<stackdist::RefinementSweep> refine;
         std::unique_ptr<stackdist::ReuseDistanceTracker> reuse;
 
@@ -162,14 +137,12 @@ class SweepSimulator
         mutable std::vector<SweepResult> results;
     };
 
-    static constexpr Addr kNoBlock = ~static_cast<Addr>(0);
-
     /**
      * Feed one reference through a bank. `count_misses` is false for
      * block-initializing stores, which install without a data fetch
      * and are counted as accesses but never as misses.
      */
-    void accessBank(Bank &bank, Addr addr, bool count_misses);
+    static void accessBank(Bank &bank, Addr addr, bool count_misses);
 
     /** Sync the lazily-maintained counters into results. */
     const std::vector<SweepResult> &syncedResults(const Bank &b) const;
@@ -177,7 +150,6 @@ class SweepSimulator
     Bank ibank_;
     Bank dbank_;
     bool inclusionChain_ = false;
-    Resolved resolved_ = Resolved::Legacy;
     std::uint64_t instructions_ = 0;
 };
 

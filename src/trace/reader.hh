@@ -36,7 +36,7 @@ struct TraceRecord
     mem::MemRef ref{0, mem::AccessType::Load, 0};
     sim::Tick tick = 0;
 
-    // Annotation fields (tick is shared).
+    // Annotation fields (tick and ref.cpu are shared).
     mem::TraceAnnotation kind = mem::TraceAnnotation::MeasureBegin;
     std::uint64_t arg = 0;
 };

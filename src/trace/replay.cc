@@ -25,7 +25,7 @@ hierarchyFor(const TraceHeader &header, const ReplayOverrides &overrides)
 ReplayCounts
 replayTraceFanout(TraceReader &reader,
                   const std::vector<mem::Hierarchy *> &hierarchies,
-                  mem::SweepSimulator *sweep)
+                  mem::AccessObserver *tap)
 {
     ReplayCounts counts;
     TraceRecord rec;
@@ -35,25 +35,21 @@ replayTraceFanout(TraceReader &reader,
             ++counts.refs;
             for (mem::Hierarchy *hierarchy : hierarchies)
                 hierarchy->access(rec.ref, rec.tick);
-            if (sweep)
-                sweep->access(rec.ref);
+            if (tap)
+                tap->preAccess(rec.ref, rec.tick);
             continue;
         }
         ++counts.annotations;
+        if (tap)
+            tap->annotation(rec.kind, rec.ref.cpu, rec.tick, rec.arg);
         switch (rec.kind) {
           case mem::TraceAnnotation::MeasureBegin:
             counts.sawMeasureBegin = true;
             counts.measureTick = rec.tick;
             break;
           case mem::TraceAnnotation::StatsReset:
-            // The execution-driven runs reset the sweep counters
-            // adjacent to beginMeasurement()'s hierarchy stat reset
-            // (no references in between), so one annotation serves
-            // both frontends.
             for (mem::Hierarchy *hierarchy : hierarchies)
                 hierarchy->resetStats();
-            if (sweep)
-                sweep->resetCounters();
             break;
           case mem::TraceAnnotation::RegionStatsReset:
             for (mem::Hierarchy *hierarchy : hierarchies)
@@ -69,8 +65,6 @@ replayTraceFanout(TraceReader &reader,
             break;
           case mem::TraceAnnotation::Instructions:
             counts.instructions += rec.arg;
-            if (sweep)
-                sweep->countInstructions(rec.arg);
             break;
           default:
             // GC windows, mode switches, migrations and transaction
@@ -84,12 +78,12 @@ replayTraceFanout(TraceReader &reader,
 
 ReplayCounts
 replayTrace(TraceReader &reader, mem::Hierarchy *hierarchy,
-            mem::SweepSimulator *sweep)
+            mem::AccessObserver *tap)
 {
     std::vector<mem::Hierarchy *> hierarchies;
     if (hierarchy)
         hierarchies.push_back(hierarchy);
-    return replayTraceFanout(reader, hierarchies, sweep);
+    return replayTraceFanout(reader, hierarchies, tap);
 }
 
 } // namespace middlesim::trace

@@ -4,11 +4,12 @@
  * frontends without constructing CPU/OS/JVM/workload layers.
  *
  * This is the Sumo half of the paper's pipeline. Replay feeds each
- * recorded reference — in its original global order — into a
- * mem::Hierarchy and/or a mem::SweepSimulator, and re-executes the
- * measurement protocol from the recorded reset annotations (stats /
- * region / communication-tracking resets, invalidations, instruction
- * counts). Because every System is single-threaded and all hit/miss
+ * recorded reference — in its original global order — into
+ * mem::Hierarchy instances and/or one reference-stream tap (a
+ * mem::AccessObserver such as the mem::SweepSimulator), and
+ * re-executes the measurement protocol from the recorded annotations:
+ * hierarchies apply the stats / region / communication-tracking
+ * resets and invalidations, and the tap hears every annotation. Because every System is single-threaded and all hit/miss
  * behavior depends only on access order (never on latency), replaying
  * against an identically-configured hierarchy reproduces bit-identical
  * miss counts, classifications and footprints; replaying against a
@@ -24,7 +25,6 @@
 #include <vector>
 
 #include "mem/hierarchy.hh"
-#include "mem/sweep.hh"
 #include "trace/reader.hh"
 
 namespace middlesim::trace
@@ -71,11 +71,12 @@ hierarchyFor(const TraceHeader &header,
  * must be discarded.
  */
 ReplayCounts replayTrace(TraceReader &reader, mem::Hierarchy *hierarchy,
-                         mem::SweepSimulator *sweep);
+                         mem::AccessObserver *tap);
 
 /**
  * Single-pass fan-out replay: decode the stream once and feed every
- * record to each hierarchy (and the sweep, when non-null). Each
+ * record to each hierarchy and, when non-null, to `tap` (references
+ * as preAccess, annotations as annotation). Each
  * hierarchy evolves exactly as it would under its own replayTrace()
  * pass — the frontends never interact — so per-hierarchy state is
  * bit-identical to N separate replays at one decode cost. This is
@@ -85,7 +86,7 @@ ReplayCounts replayTrace(TraceReader &reader, mem::Hierarchy *hierarchy,
 ReplayCounts
 replayTraceFanout(TraceReader &reader,
                   const std::vector<mem::Hierarchy *> &hierarchies,
-                  mem::SweepSimulator *sweep = nullptr);
+                  mem::AccessObserver *tap = nullptr);
 
 } // namespace middlesim::trace
 

@@ -172,6 +172,7 @@ for b in run_all fig04_scaling fig_manycore middlesim_stress \
 done
 expect_bad "$unknown" "$trace_tool" record --out=F --bogus
 expect_bad "$unknown" "$trace_tool" info F --bogus
+expect_bad --mode "$trace_tool" sweep F --mode=legacy
 
 [ ! -e "$cache" ] || fail "a refused run wrote into the cache directory"
 [ ! -e "$workdir/F" ] || fail "a refused record wrote its trace"
@@ -202,8 +203,7 @@ expect_help middlesim_explore --cpus=N --cpus-per-l2=N --protocol= \
 expect_help middlesim-trace "middlesim-trace info" \
     "middlesim-trace validate" --limit=N --out=FILE --workload= \
     --app-cpus=N --total-cpus=N --cpus-per-l2=N --scale=N --seed=N \
-    --warmup=T --measure=T --track-comm --l2-kb=N --mode=auto \
-    --mode=single-pass
+    --warmup=T --measure=T --track-comm --l2-kb=N --mode=single-pass
 expect_help ablation_mechanisms MIDDLESIM_QUICK
 
 echo "BAD_INPUT_OK"

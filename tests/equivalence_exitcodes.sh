@@ -42,32 +42,30 @@ chmod +x "$workdir/sweep_crash/middlesim-trace"
 expect_status 2 "sweep harness vs crashing tool" \
     "$testsdir/sweep_equivalence.sh" "$workdir/sweep_crash"
 
-# --- sweep harness: tool runs fine but modes disagree -> exit 1 ---
+# --- sweep harness: tool runs fine but sharing modes disagree -> 1 ---
 mkdir -p "$workdir/sweep_diff"
 cat > "$workdir/sweep_diff/middlesim-trace" <<'EOF'
 #!/bin/bash
 cmd=${1:-}
-mode=auto
+mode=single-pass
 for a in "$@"; do
     case "$a" in --mode=*) mode=${a#--mode=} ;; esac
 done
 case "$cmd" in
 sweep)
-    if [ "$mode" = legacy ]; then
-        echo "engine: legacy-walk" >&2
-    else
-        echo "engine: stackdist" >&2
-    fi
-    echo "sweep table for mode $mode"
+    echo "sweep engine: stackdist-refinement" >&2
+    for kb in 64 128 256 512 1024 2048 4096 8192 16384; do
+        echo "$kb KB 1.0 1.0"
+    done
     ;;
 sharing)
-    echo "sharing table"
+    echo "sharing table for mode $mode"
     ;;
 esac
 exit 0
 EOF
 chmod +x "$workdir/sweep_diff/middlesim-trace"
-expect_status 1 "sweep harness vs per-mode output drift" \
+expect_status 1 "sweep harness vs per-mode sharing drift" \
     "$testsdir/sweep_equivalence.sh" "$workdir/sweep_diff"
 
 # Stub figure drivers: stable stdout plus a nonempty metrics file.

@@ -22,10 +22,13 @@
 #include "mem/stackdist/reuse.hh"
 #include "mem/sweep.hh"
 #include "sim/rng.hh"
+#include "sweep_oracle.hh"
 
 using namespace middlesim;
 using mem::AccessType;
 using mem::SweepSimulator;
+using test::NaiveBank;
+using test::nextRef;
 
 namespace
 {
@@ -35,62 +38,6 @@ deepSweep()
 {
     const char *env = std::getenv("MIDDLESIM_DEEP_SWEEP");
     return env && *env != '\0' && *env != '0';
-}
-
-/** Reference model: every configuration simulated independently. */
-struct NaiveBank
-{
-    std::vector<mem::CacheArray> caches;
-    std::vector<std::uint64_t> misses;
-    std::uint64_t accesses = 0;
-
-    explicit NaiveBank(const std::vector<sim::CacheParams> &configs)
-        : misses(configs.size(), 0)
-    {
-        for (const auto &params : configs)
-            caches.emplace_back(params);
-    }
-
-    void
-    access(mem::Addr addr, bool count_misses)
-    {
-        ++accesses;
-        for (std::size_t i = 0; i < caches.size(); ++i) {
-            mem::CacheArray &cache = caches[i];
-            if (mem::CacheLine *line = cache.find(addr)) {
-                cache.touch(*line);
-            } else {
-                if (count_misses)
-                    ++misses[i];
-                mem::CacheLine &frame = cache.victim(addr);
-                cache.install(frame, addr,
-                              mem::CoherenceState::Shared);
-            }
-        }
-    }
-};
-
-/** A clustered trace: repeats, streaming runs, random far jumps. */
-mem::MemRef
-nextRef(sim::Rng &rng, mem::Addr &cursor)
-{
-    const auto move = rng.uniform(100);
-    if (move < 35) {
-        // Stay in the current block (different byte offset).
-    } else if (move < 75) {
-        cursor += 64; // sequential run
-    } else {
-        cursor = rng.uniform(32 * 1024) * 64; // far jump
-    }
-    const auto kind = rng.uniform(100);
-    AccessType type = AccessType::Load;
-    if (kind < 35)
-        type = AccessType::IFetch;
-    else if (kind < 45)
-        type = AccessType::Store;
-    else if (kind < 50)
-        type = AccessType::BlockStore;
-    return {cursor + rng.uniform(64), type, 0};
 }
 
 /** Random single-pass-suitable geometry list (common block size). */
@@ -236,7 +183,7 @@ TEST(Refinement, MatchesNaiveAcrossRandomGeometries)
         ASSERT_TRUE(
             mem::stackdist::RefinementSweep::suitable(configs));
 
-        SweepSimulator sweep(configs, mem::SweepEngine::SinglePass);
+        SweepSimulator sweep(configs);
         NaiveBank inaive(configs), dnaive(configs);
         mem::Addr cursor = 0;
         for (int step = 0; step < steps; ++step) {
@@ -317,31 +264,24 @@ TEST(SweepEngine, FullyAssociativeLadderUsesReuseTracker)
         configs.push_back(
             {blocks * 64, static_cast<unsigned>(blocks), 64});
     SweepSimulator sweep(configs);
-    EXPECT_TRUE(sweep.singlePass());
     EXPECT_STREQ(sweep.engineName(), "stackdist-reuse");
 
-    SweepSimulator legacy(configs, mem::SweepEngine::Legacy);
-    EXPECT_FALSE(legacy.singlePass());
+    test::NaiveSweep naive(configs);
     sim::Rng rng(0xFAFAu);
     mem::Addr cursor = 0;
     for (int step = 0; step < 10000; ++step) {
         const mem::MemRef ref = nextRef(rng, cursor);
         sweep.access(ref);
-        legacy.access(ref);
+        naive.access(ref);
     }
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        EXPECT_EQ(sweep.icacheResults()[i].misses,
-                  legacy.icacheResults()[i].misses);
-        EXPECT_EQ(sweep.dcacheResults()[i].misses,
-                  legacy.dcacheResults()[i].misses);
-    }
+    test::expectSweepMatches(sweep, naive);
 }
 
-TEST(SweepEngine, OversizedAssociativityFallsBackToLegacy)
+TEST(SweepEngine, OversizedAssociativityIsFatal)
 {
     // 128-way with multiple sets exceeds the recency-row bound and is
-    // not fully associative: Auto silently falls back to the walk.
-    SweepSimulator sweep({{2 * 128 * 64, 128, 64}});
-    EXPECT_FALSE(sweep.singlePass());
-    EXPECT_STREQ(sweep.engineName(), "legacy-walk");
+    // not fully associative: no single-pass engine admits it.
+    EXPECT_EXIT(SweepSimulator({{2 * 128 * 64, 128, 64}}),
+                ::testing::ExitedWithCode(1),
+                "no single-pass engine.*at most 64 ways");
 }

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "check/checker.hh"
 #include "core/cache.hh"
 #include "core/experiment.hh"
 #include "core/leaves.hh"
@@ -34,6 +35,7 @@
 #include "trace/reader.hh"
 #include "trace/replay.hh"
 #include "trace/writer.hh"
+#include "sweep_oracle.hh"
 
 using namespace middlesim;
 
@@ -541,13 +543,12 @@ TEST(TraceReplay, SweepReplayMatchesExecutionDrivenSweep)
     mem::SweepSimulator sweep{mem::SweepSimulator::paperSweep()};
     trace::TraceWriter writer(core::traceHeaderFor(*system, spec));
     system->setTraceSink(&writer);
-    system->memory().setSweepTap(&sweep);
+    system->memory().attachTap(&sweep);
     system->run(spec.warmup);
-    sweep.resetCounters();
     system->beginMeasurement();
     system->run(spec.measure);
     sweep.countInstructions(system->appCpi().instructions);
-    system->memory().setSweepTap(nullptr);
+    system->memory().detachTap(&sweep);
     writer.annotation(mem::TraceAnnotation::Instructions, 0,
                       system->now(), system->appCpi().instructions);
     system->setTraceSink(nullptr);
@@ -572,44 +573,185 @@ TEST(TraceReplay, SweepReplayMatchesExecutionDrivenSweep)
 
 TEST(TraceReplay, SweepEnginesAgreeOnRecordedTrace)
 {
-    // One recording, three sweep paths: the auto-selected single-pass
-    // stack-distance engine, the forced legacy walk, and the
-    // per-configuration replay baseline must produce identical miss
-    // and access counts for every paper-sweep geometry.
+    // One recording, two sweep paths: the single-pass engine through
+    // replayTraceSweep, and the per-configuration oracle fed straight
+    // from the decoded records, must produce identical miss and
+    // access counts for every paper-sweep geometry.
     core::TraceRecordOutcome rec =
         core::recordTraceRun(uniprocessorJbbSpec());
     ASSERT_FALSE(rec.traceData.empty());
 
     core::SweepReplayOutcome fast =
         core::replayTraceSweep(rec.traceData);
-    core::SweepReplayOutcome legacy = core::replayTraceSweep(
-        rec.traceData, mem::SweepEngine::Legacy);
-    core::SweepReplayOutcome percfg =
-        core::replayTraceSweepPerConfig(rec.traceData);
     ASSERT_TRUE(fast.valid) << fast.error;
-    ASSERT_TRUE(legacy.valid) << legacy.error;
-    ASSERT_TRUE(percfg.valid) << percfg.error;
     EXPECT_EQ(fast.engine, "stackdist-refinement");
-    EXPECT_EQ(legacy.engine, "legacy-walk");
-    EXPECT_EQ(fast.instructions, legacy.instructions);
-    EXPECT_EQ(fast.instructions, percfg.instructions);
 
-    ASSERT_EQ(fast.icache.size(), legacy.icache.size());
-    ASSERT_EQ(fast.icache.size(), percfg.icache.size());
-    for (std::size_t i = 0; i < fast.icache.size(); ++i) {
-        EXPECT_EQ(fast.icache[i].misses, legacy.icache[i].misses)
-            << "icache config " << i;
-        EXPECT_EQ(fast.dcache[i].misses, legacy.dcache[i].misses)
-            << "dcache config " << i;
-        EXPECT_EQ(fast.icache[i].misses, percfg.icache[i].misses)
-            << "icache config " << i << " (per-config)";
-        EXPECT_EQ(fast.dcache[i].misses, percfg.dcache[i].misses)
-            << "dcache config " << i << " (per-config)";
-        EXPECT_EQ(fast.icache[i].accesses, percfg.icache[i].accesses)
-            << "icache config " << i;
-        EXPECT_EQ(fast.dcache[i].accesses, percfg.dcache[i].accesses)
-            << "dcache config " << i;
+    test::NaiveSweep naive(mem::SweepSimulator::paperSweep());
+    std::uint64_t instructions = 0;
+    trace::TraceReader reader(rec.traceData);
+    trace::TraceRecord r;
+    while (reader.next(r)) {
+        if (r.isRef)
+            naive.access(r.ref);
+        else if (r.kind == mem::TraceAnnotation::StatsReset)
+            naive.resetCounters();
+        else if (r.kind == mem::TraceAnnotation::Instructions)
+            instructions += r.arg;
     }
+    ASSERT_TRUE(reader.complete()) << reader.error();
+    EXPECT_EQ(fast.instructions, instructions);
+    test::expectBankMatches(fast.icache, naive.ibank, "icache");
+    test::expectBankMatches(fast.dcache, naive.dbank, "dcache");
+    // The recording discriminates between sizes.
+    EXPECT_GT(naive.dbank.misses.front(), naive.dbank.misses.back());
+}
+
+TEST(TraceTap, WriterSweepAndCheckerShareOneRun)
+{
+    // A Figure 12-style uniprocessor run with all three reference
+    // stream clients on the hierarchy's tap list at once: tapping
+    // changes nothing, the sweep equals the sweep replayed from the
+    // recording, and the checker stays clean.
+    const core::ExperimentSpec spec = uniprocessorJbbSpec();
+    std::string untapped;
+    {
+        core::BuiltWorkload workload;
+        auto system = core::buildSystem(spec, workload);
+        untapped = core::encodeRunResult(
+            core::measure(*system, spec, workload));
+    }
+
+    core::BuiltWorkload workload;
+    auto system = core::buildSystem(spec, workload);
+    check::CheckOptions opts;
+    opts.failFast = false;
+    system->enableChecking(opts);
+    trace::TraceWriter writer(core::traceHeaderFor(*system, spec));
+    system->setTraceSink(&writer);
+    mem::SweepSimulator sweep{mem::SweepSimulator::paperSweep()};
+    system->memory().attachTap(&sweep);
+    const core::RunResult res = core::measure(*system, spec, workload);
+    sweep.countInstructions(res.cpi.instructions);
+    system->memory().detachTap(&sweep);
+    writer.annotation(mem::TraceAnnotation::Instructions, 0,
+                      system->now(), res.cpi.instructions);
+    system->setTraceSink(nullptr);
+
+    EXPECT_EQ(core::encodeRunResult(res), untapped);
+    const check::CheckReport &report = system->checker()->report();
+    EXPECT_TRUE(report.clean());
+    EXPECT_GT(report.refsChecked, 0u);
+
+    core::SweepReplayOutcome replay =
+        core::replayTraceSweep(writer.take());
+    ASSERT_TRUE(replay.valid) << replay.error;
+    EXPECT_EQ(replay.instructions, sweep.instructions());
+    for (std::size_t i = 0; i < replay.icache.size(); ++i) {
+        EXPECT_EQ(replay.icache[i].misses,
+                  sweep.icacheResults()[i].misses) << i;
+        EXPECT_EQ(replay.icache[i].accesses,
+                  sweep.icacheResults()[i].accesses) << i;
+        EXPECT_EQ(replay.dcache[i].misses,
+                  sweep.dcacheResults()[i].misses) << i;
+        EXPECT_EQ(replay.dcache[i].accesses,
+                  sweep.dcacheResults()[i].accesses) << i;
+    }
+}
+
+namespace
+{
+
+/** Counts the references a tap hears after the last StatsReset. */
+struct CountingObserver final : mem::AccessObserver
+{
+    std::uint64_t pre = 0;
+    std::uint64_t post = 0;
+
+    void preAccess(const mem::MemRef &, sim::Tick) override { ++pre; }
+
+    void
+    postAccess(const mem::MemRef &, const mem::AccessResult &,
+               sim::Tick) override
+    {
+        ++post;
+    }
+
+    void
+    annotation(mem::TraceAnnotation kind, unsigned, sim::Tick,
+               std::uint64_t) override
+    {
+        if (kind == mem::TraceAnnotation::StatsReset)
+            pre = post = 0;
+    }
+};
+
+/** Counts references and annotations by kind. */
+struct CountingSink final : mem::TraceSink
+{
+    std::uint64_t refs = 0;
+    std::uint64_t kinds[mem::numTraceAnnotations] = {};
+
+    void ref(const mem::MemRef &, sim::Tick) override { ++refs; }
+
+    void
+    annotation(mem::TraceAnnotation kind, unsigned, sim::Tick,
+               std::uint64_t) override
+    {
+        ++kinds[static_cast<unsigned>(kind)];
+    }
+};
+
+} // namespace
+
+TEST(TraceTap, SetterAttachDetachContract)
+{
+    // The benchmark's traced pass: an observer on the hierarchy, a
+    // sink on the System whose hierarchy tap is then removed again.
+    // The observer hears every access; the sink hears the System's
+    // GC annotations but no reference and no hierarchy annotation.
+    core::ExperimentSpec spec = uniprocessorJbbSpec();
+    // A tiny young generation: collections happen in the short run.
+    spec.sys.jvm.heap.newGenBytes = 256 * 1024;
+    spec.sys.jvm.heap.overshootBytes = 256 * 1024;
+    spec.sys.jvm.heap.tlabBytes = 4 * 1024;
+    core::BuiltWorkload workload;
+    auto system = core::buildSystem(spec, workload);
+    CountingObserver access;
+    CountingSink gc;
+    system->memory().setAccessObserver(&access);
+    system->setTraceSink(&gc);
+    system->memory().setTraceSink(nullptr);
+    core::measure(*system, spec, workload);
+    system->memory().setAccessObserver(nullptr);
+    system->setTraceSink(nullptr);
+
+    std::uint64_t accesses = 0;
+    for (unsigned c = 0; c < spec.totalCpus; ++c) {
+        const mem::CacheStats &st = system->memory().cpuStats(c);
+        accesses += st.ifetches + st.loads + st.stores + st.atomics;
+    }
+    EXPECT_GT(accesses, 0u);
+    EXPECT_EQ(access.pre, accesses);
+    EXPECT_EQ(access.post, accesses);
+    EXPECT_EQ(gc.refs, 0u);
+    using mem::TraceAnnotation;
+    EXPECT_GT(gc.kinds[static_cast<unsigned>(TraceAnnotation::GcBegin)],
+              0u);
+    EXPECT_GT(
+        gc.kinds[static_cast<unsigned>(TraceAnnotation::MeasureBegin)],
+        0u);
+    EXPECT_EQ(
+        gc.kinds[static_cast<unsigned>(TraceAnnotation::StatsReset)],
+        0u);
+
+    // Detaching again, by setter or directly, is harmless.
+    system->setTraceSink(nullptr);
+    system->memory().setAccessObserver(nullptr);
+    system->memory().detachTap(&access);
+    const std::uint64_t before = access.pre;
+    system->memory().access({0x1000, mem::AccessType::Load, 0},
+                            system->now());
+    EXPECT_EQ(access.pre, before);
 }
 
 TEST(TraceReplay, SharingFanoutBitIdenticalToPerDegree)
@@ -663,6 +805,15 @@ TEST(TraceAddressing, FileNameIsStableAndSpecSensitive)
     EXPECT_NE(core::traceFileName(a), core::traceFileName(c));
     EXPECT_NE(core::traceFileName(b), core::traceFileName(c));
     EXPECT_EQ(core::traceFileName(a).rfind("trace-", 0), 0u);
+}
+
+TEST(TraceAddressing, FileNameIsPinnedAcrossCacheSchemaBumps)
+{
+    // Trace names and headers hash their own frozen key version, not
+    // the RunCache's codec version: bumping cacheSchemaVersion must
+    // leave a recorded corpus addressable.
+    EXPECT_EQ(core::traceFileName(uniprocessorJbbSpec()),
+              "trace-bb4c5ad32adaa3cc.mst");
 }
 
 TEST_F(TraceEndToEnd, RunExperimentRecordsOnceAndValidates)
