@@ -3,9 +3,9 @@
  * middlesim_explore: exhaustive coherence-interleaving explorer.
  *
  * Enumerates every schedulable interleaving of a small-geometry
- * per-CPU reference stream (DPOR-pruned; --no-dpor for the naive
- * enumeration) with all memory invariant checkers armed on every
- * path, and emits a `middlesim-explore-v1` JSON report. With
+ * per-CPU reference stream (DPOR-pruned; the report's naive count is
+ * computed, not enumerated) with all memory invariant checkers armed
+ * on every path, and emits a `middlesim-explore-v1` JSON report. With
  * --inject=<fault> a deterministic mem::FaultPlan defect (period 1,
  * salt 0 unless overridden) is armed and MUST be found — not
  * probabilistically, but because some interleaving that triggers it
@@ -52,7 +52,6 @@ struct Options
     unsigned depthBudget = 0;
     std::uint64_t maxExecutions = 0;
     unsigned jobs = 1;
-    bool dpor = true;
     bool timing = false;
     mem::FaultPlan::Kind inject = mem::FaultPlan::Kind::None;
     std::uint64_t injectPeriod = 1;
@@ -99,10 +98,6 @@ parseArgs(int argc, char **argv)
          sim::store(opt.maxExecutions, 0)},
         {"jobs", nullptr, "N", "explorer threads (1)",
          sim::store(opt.jobs, 1, sim::ThreadPool::kMaxJobs)},
-        {"no-dpor", nullptr, nullptr, "naive enumeration, no pruning",
-         [&](const std::string &, const std::string &) {
-             opt.dpor = false;
-         }},
         {"timing", nullptr, nullptr, "report wall-clock seconds",
          sim::storeTrue(opt.timing)},
         {"inject", nullptr, "KIND", "arm a fault that must be found",
@@ -157,7 +152,6 @@ main(int argc, char **argv)
 
     explore::ExploreOptions eopts;
     eopts.depthBudget = opt.depthBudget;
-    eopts.dpor = opt.dpor;
     eopts.jobs = opt.jobs;
     eopts.maxExecutionsPerBranch = opt.maxExecutions;
 
@@ -181,7 +175,6 @@ main(int argc, char **argv)
     rc.seed = opt.seed;
     rc.inject = mem::toString(opt.inject);
     rc.depthBudget = opt.depthBudget;
-    rc.dpor = opt.dpor;
     if (opt.timing)
         rc.wallSeconds = wall;
 

@@ -222,14 +222,10 @@ printSharingRow(unsigned share, const HierarchyReplayOutcome &out,
 }
 
 int
-cmdSharing(const std::string &path, const std::string &mode)
+cmdSharing(const std::string &path)
 {
-    // Default: single-pass fan-out (one decode, all degrees).
-    // --mode=per-degree replays the stream once per degree; the two
-    // modes print byte-identical stdout (mode info on stderr).
-    if (mode != "single-pass" && mode != "per-degree")
-        fatal("middlesim-trace: unknown sharing mode '", mode, "'");
-
+    // One decode feeds every sharing degree (fan-out replay); each
+    // row equals `replay --cpus-per-l2=N` on the same trace.
     const std::string data = loadTrace(path);
     trace::TraceReader probe{std::string(data)};
     if (!probe.ok())
@@ -241,25 +237,12 @@ cmdSharing(const std::string &path, const std::string &mode)
             degrees.push_back(share);
     }
 
-    std::fprintf(stderr, "sharing mode: %s (%zu degrees)\n",
-                 mode.c_str(), degrees.size());
     std::printf("%8s %12s %12s %12s %12s\n", "cpusPerL2", "misses",
                 "coherence", "capacity", "c2c");
-    if (mode == "single-pass") {
-        const std::vector<HierarchyReplayOutcome> outs =
-            replayTraceSharing(std::string(data), degrees);
-        for (std::size_t i = 0; i < degrees.size(); ++i)
-            printSharingRow(degrees[i], outs[i], path);
-    } else {
-        for (unsigned share : degrees) {
-            trace::ReplayOverrides overrides;
-            overrides.cpusPerL2 = share;
-            printSharingRow(
-                share,
-                replayTraceHierarchy(std::string(data), overrides),
-                path);
-        }
-    }
+    const std::vector<HierarchyReplayOutcome> outs =
+        replayTraceSharing(std::string(data), degrees);
+    for (std::size_t i = 0; i < degrees.size(); ++i)
+        printSharingRow(degrees[i], outs[i], path);
     return 0;
 }
 
@@ -269,7 +252,6 @@ struct Args
     ExperimentSpec spec;
     std::string out;
     trace::ReplayOverrides overrides;
-    std::string sharingMode = "single-pass";
     std::uint64_t limit = 100;
 
     Args()
@@ -348,10 +330,6 @@ commandFlags(const std::string &cmd, Args &a)
              sim::store(a.overrides.cpusPerL2, 1)},
         };
     }
-    if (cmd == "sharing")
-        return {{"mode", nullptr, "single-pass|per-degree",
-                 "replay strategy (single-pass); stdout is the same",
-                 sim::store(a.sharingMode)}};
     return {};
 }
 
@@ -407,7 +385,7 @@ traceToolMain(int argc, char **argv)
         return cmdReplay(path, a.overrides);
     if (cmd == "sweep")
         return cmdSweep(path);
-    return cmdSharing(path, a.sharingMode);
+    return cmdSharing(path);
 }
 
 } // namespace middlesim::core

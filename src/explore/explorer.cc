@@ -297,8 +297,8 @@ reportJson(const ExploreResult &result, const ReportConfig &config)
     out += buf;
     out += "  \"inject\": \"" + jsonEscape(config.inject) + "\",\n";
     std::snprintf(buf, sizeof buf,
-                  "  \"depth_budget\": %u,\n  \"dpor\": %s,\n",
-                  config.depthBudget, config.dpor ? "true" : "false");
+                  "  \"depth_budget\": %u,\n  \"dpor\": true,\n",
+                  config.depthBudget);
     out += buf;
     std::snprintf(
         buf, sizeof buf,

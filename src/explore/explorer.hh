@@ -41,7 +41,8 @@ struct ExploreOptions
 {
     /** Longest schedule prefix explored (0 = all references). */
     unsigned depthBudget = 0;
-    /** Sleep-set pruning; off = naive exhaustive enumeration. */
+    /** Sleep-set pruning; off = naive exhaustive enumeration (the
+     *  oracle test_explore checks DPOR against). */
     bool dpor = true;
     /** Per-root-subtree cap on completed paths (0 = unlimited). */
     std::uint64_t maxExecutionsPerBranch = 0;
@@ -122,7 +123,6 @@ struct ReportConfig
     std::uint64_t seed = 0;
     std::string inject = "none";
     unsigned depthBudget = 0;
-    bool dpor = true;
     /** Repro path ("" when none was written). */
     std::string reproPath;
     /** Wall seconds; < 0 omits the field (deterministic report). */

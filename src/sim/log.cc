@@ -48,7 +48,7 @@ void
 informImpl(const std::string &msg)
 {
     if (!quietFlag)
-        std::fprintf(stdout, "info: %s\n", msg.c_str());
+        std::fprintf(stderr, "info: %s\n", msg.c_str());
 }
 
 } // namespace middlesim::sim

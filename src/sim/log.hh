@@ -8,7 +8,8 @@
  *            (bad configuration, impossible parameters); exits with
  *            status 1.
  * warn()   — something is modeled approximately; the run continues.
- * inform() — plain status output.
+ * inform() — plain status output, on stderr like warn(): it may be
+ *            called from pool workers, so stdout stays deterministic.
  */
 
 #ifndef SIM_LOG_HH

@@ -173,6 +173,9 @@ done
 expect_bad "$unknown" "$trace_tool" record --out=F --bogus
 expect_bad "$unknown" "$trace_tool" info F --bogus
 expect_bad --mode "$trace_tool" sweep F --mode=legacy
+# Removed flags are refused like any unknown flag.
+expect_bad --mode "$trace_tool" sharing F --mode=per-degree
+expect_bad --no-dpor "$explore" --no-dpor
 
 [ ! -e "$cache" ] || fail "a refused run wrote into the cache directory"
 [ ! -e "$workdir/F" ] || fail "a refused record wrote its trace"
@@ -197,13 +200,12 @@ expect_help middlesim_stress --seeds=N --seed0=N --budget= --refs=N \
     --repro=
 expect_help middlesim_explore --cpus=N --cpus-per-l2=N --protocol= \
     --numa-nodes=N --topology= --dir-occupancy=N --blocks=N --refs=N \
-    --seed=N --depth-budget=N --max-executions=N --jobs=N --no-dpor \
-    --timing --inject=KIND --inject-period=N --inject-salt=N --out=DIR \
-    --report=FILE
+    --seed=N --depth-budget=N --max-executions=N --jobs=N --timing \
+    --inject=KIND --inject-period=N --inject-salt=N --out=DIR --report=FILE
 expect_help middlesim-trace "middlesim-trace info" \
     "middlesim-trace validate" --limit=N --out=FILE --workload= \
     --app-cpus=N --total-cpus=N --cpus-per-l2=N --scale=N --seed=N \
-    --warmup=T --measure=T --track-comm --l2-kb=N --mode=single-pass
+    --warmup=T --measure=T --track-comm --l2-kb=N
 expect_help ablation_mechanisms MIDDLESIM_QUICK
 
 echo "BAD_INPUT_OK"

@@ -42,16 +42,12 @@ chmod +x "$workdir/sweep_crash/middlesim-trace"
 expect_status 2 "sweep harness vs crashing tool" \
     "$testsdir/sweep_equivalence.sh" "$workdir/sweep_crash"
 
-# --- sweep harness: tool runs fine but sharing modes disagree -> 1 ---
+# --- sweep harness: tool runs fine but sharing disagrees with
+# per-degree replay -> 1 ---
 mkdir -p "$workdir/sweep_diff"
 cat > "$workdir/sweep_diff/middlesim-trace" <<'EOF'
 #!/bin/bash
-cmd=${1:-}
-mode=single-pass
-for a in "$@"; do
-    case "$a" in --mode=*) mode=${a#--mode=} ;; esac
-done
-case "$cmd" in
+case "${1:-}" in
 sweep)
     echo "sweep engine: stackdist-refinement" >&2
     for kb in 64 128 256 512 1024 2048 4096 8192 16384; do
@@ -59,13 +55,20 @@ sweep)
     done
     ;;
 sharing)
-    echo "sharing table for mode $mode"
+    echo "cpusPerL2 misses coherence capacity c2c"
+    for share in 1 2 4; do
+        echo "$share 100 20 30 10"
+    done
+    ;;
+replay)
+    echo "  L2 misses:    101  (cold 51, coherence 20, capacity 30)"
+    echo "  c2c/upgrades: 10 / 0"
     ;;
 esac
 exit 0
 EOF
 chmod +x "$workdir/sweep_diff/middlesim-trace"
-expect_status 1 "sweep harness vs per-mode sharing drift" \
+expect_status 1 "sweep harness vs sharing/replay drift" \
     "$testsdir/sweep_equivalence.sh" "$workdir/sweep_diff"
 
 # Stub figure drivers: stable stdout plus a nonempty metrics file.

@@ -3,10 +3,11 @@
 # of run_all must equal the concatenated stdouts of the 13 individual
 # figure drivers, whether the disk cache is off, cold, or warm, and at
 # any --jobs count; per-figure metrics documents must equal the
-# drivers' --metrics-dir files. Runs time-compressed (shape checks may
-# FAIL at this scale — only identity is asserted), so driver exit
-# status 1 is tolerated; any other nonzero status is a crash and fails
-# the test loudly.
+# drivers' --metrics-dir files; and fig12's stdout must not change
+# when it records traces on three workers. Runs time-compressed
+# (shape checks may FAIL at this scale — only identity is asserted),
+# so driver exit status 1 is tolerated; any other nonzero status is a
+# crash and fails the test loudly.
 #
 # Usage: run_all_equivalence.sh <build/bench dir>
 #
@@ -98,6 +99,19 @@ run_tolerant "$workdir/jobs3.out" \
     "$bindir/run_all" --jobs=3 --no-cache
 expect_identical "$workdir/individual.out" "$workdir/jobs3.out" \
     "run_all --jobs=3 differs from --jobs=1"
+
+# Recording traces from pool workers must not touch stdout: two runs
+# into fresh directories print the same bytes as the plain driver.
+echo "# fig12 --trace-out --jobs=3, twice" >&2
+for run in 1 2; do
+    mkdir "$workdir/trace$run"
+    run_tolerant "$workdir/trace$run.out" "$bindir/fig12_icache" \
+        --jobs=3 --no-cache --trace-out="$workdir/trace$run"
+done
+expect_identical "$workdir/trace1.out" "$workdir/trace2.out" \
+    "fig12 --trace-out stdout differs between two runs"
+expect_identical "$workdir/fig12.solo.out" "$workdir/trace1.out" \
+    "fig12 --trace-out stdout differs from the plain driver"
 
 for f in "$workdir"/metrics_solo/*.json; do
     id=$(basename "$f")

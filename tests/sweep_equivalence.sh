@@ -3,9 +3,10 @@
 # `middlesim-trace sweep` run (nine paper-sweep size rows, scored by a
 # single-pass stack-distance engine; its equality with the
 # per-configuration oracle is proven in test_sweep / test_stackdist /
-# test_trace), and byte-identical stdout from `middlesim-trace
-# sharing` across single-pass fan-out and per-degree replay. Strict —
-# no tolerance.
+# test_trace), and every row of `middlesim-trace sharing` (one decode
+# fanned out to every sharing degree) equal to the totals that
+# `middlesim-trace replay --cpus-per-l2=N` prints for the same trace,
+# a dedicated replay per degree. Strict — no tolerance.
 #
 # Usage: sweep_equivalence.sh <build/bench dir>
 #
@@ -67,15 +68,35 @@ status=0
     --warmup=1000000 --measure=2000000 > /dev/null 2>&1 || status=$?
 check_status "$status" "record SMP trace"
 
-echo "# sharing modes must print identical stdout" >&2
-for mode in single-pass per-degree; do
-    status=0
-    "$tool" sharing "$workdir/smp.mst" --mode=$mode \
-        > "$workdir/sharing.$mode" 2> /dev/null || status=$?
-    check_status "$status" "sharing --mode=$mode"
-done
-expect_identical "$workdir/sharing.single-pass" \
-    "$workdir/sharing.per-degree" \
-    "sharing output differs: single-pass vs per-degree"
+echo "# sharing rows must equal per-degree replay totals" >&2
+status=0
+"$tool" sharing "$workdir/smp.mst" > "$workdir/sharing.out" \
+    2> /dev/null || status=$?
+check_status "$status" "sharing"
+# Rows: cpusPerL2 misses coherence capacity c2c.
+awk 'NR > 1 { print $1, $2, $3, $4, $5 }' "$workdir/sharing.out" \
+    > "$workdir/sharing.rows"
+rows=$(wc -l < "$workdir/sharing.rows")
+[ "$rows" -eq 3 ] || fail "sharing printed $rows degree rows, want 3"
 
-echo "PASS: sweep table complete; sharing outputs identical across modes" >&2
+: > "$workdir/replay.rows"
+for share in $(cut -d' ' -f1 "$workdir/sharing.rows"); do
+    status=0
+    "$tool" replay "$workdir/smp.mst" --cpus-per-l2="$share" \
+        > "$workdir/replay.$share" 2> /dev/null || status=$?
+    check_status "$status" "replay --cpus-per-l2=$share"
+    # "  L2 misses:    M  (cold D, coherence H, capacity P)" and
+    # "  c2c/upgrades: C / U" -> "share M H P C".
+    row=$(awk -v share="$share" '
+        /^  L2 misses:/ { gsub(/[(),]/, " "); m = $3 " " $7 " " $9 }
+        /^  c2c\/upgrades:/ { c = $2 }
+        END { if (m != "" && c != "") print share, m, c }' \
+        "$workdir/replay.$share")
+    [ -n "$row" ] ||
+        fail "replay --cpus-per-l2=$share printed no miss totals"
+    echo "$row" >> "$workdir/replay.rows"
+done
+expect_identical "$workdir/replay.rows" "$workdir/sharing.rows" \
+    "sharing rows differ from per-degree replay totals"
+
+echo "PASS: sweep table complete; sharing rows equal per-degree replay" >&2
