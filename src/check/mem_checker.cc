@@ -423,8 +423,8 @@ MemChecker::postAccess(const mem::MemRef &ref,
     // when the outstanding delta changes, so one lost ack is one
     // violation rather than one per subsequent access.
     if (dir_) {
-        const std::uint64_t sent = dir_->invalidationsSent().value();
-        const std::uint64_t acked = dir_->acksReceived().value();
+        const std::uint64_t sent = dir_->stats().invalidationsSent;
+        const std::uint64_t acked = dir_->stats().acksReceived;
         const std::uint64_t delta = sent - acked;
         if (delta != lastAckDelta_) {
             if (delta > lastAckDelta_) {
@@ -443,7 +443,7 @@ MemChecker::postAccess(const mem::MemRef &ref,
         // livelock-break counter; every new break is a livelock the
         // bounded-backoff argument (DESIGN.md §3.15) says cannot
         // happen on an honest contended home.
-        const std::uint64_t breaks = dir_->livelockBreaks();
+        const std::uint64_t breaks = dir_->stats().livelockBreaks;
         if (breaks > lastLivelockBreaks_) {
             report_.violate("dir.livelock",
                 formatMessage("block 0x", std::hex, block, std::dec,

@@ -72,14 +72,6 @@ derive(const RunResult &r)
     return p;
 }
 
-/** mem.dir.lat.* bucket names, in ascending-edge order. */
-const char *const latBucketNames[] = {
-    "mem.dir.lat.le_64",   "mem.dir.lat.le_128",
-    "mem.dir.lat.le_256",  "mem.dir.lat.le_512",
-    "mem.dir.lat.le_1024", "mem.dir.lat.le_2048",
-    "mem.dir.lat.le_4096", "mem.dir.lat.gt_4096"};
-constexpr unsigned numLatBuckets = 8;
-
 /** Table/series label of a point's interconnect configuration. */
 const char *
 protocolLabel(const ExperimentSpec &s)
@@ -101,21 +93,32 @@ queueDelayPerMiss(const RunResult &r)
     return misses > 0.0 ? delay / misses : 0.0;
 }
 
+/** Latency of bucket b; the overflow bucket sits at twice the top edge. */
+double
+latBucketEdge(unsigned b)
+{
+    constexpr unsigned last = mem::kDirLatBuckets - 1;
+    return b < last
+               ? static_cast<double>(mem::kDirLatEdges[b])
+               : 2.0 * static_cast<double>(mem::kDirLatEdges[last - 1]);
+}
+
+/** Mass of latency bucket b in a point's metrics. */
+double
+latBucketCount(const RunResult &r, unsigned b)
+{
+    return static_cast<double>(counterOf(r, mem::kDirLatBucketNames[b]));
+}
+
 /** Bucket-mass mean of the mem.dir.lat.* miss-latency CDF. */
 double
 meanBucketLatency(const RunResult &r)
 {
     double total = 0.0, weighted = 0.0;
-    for (unsigned b = 0; b < numLatBuckets; ++b) {
-        const double count =
-            static_cast<double>(counterOf(r, latBucketNames[b]));
-        const double edge =
-            b < numLatBuckets - 1
-                ? static_cast<double>(mem::kDirLatEdges[b])
-                : 2.0 * static_cast<double>(
-                            mem::kDirLatEdges[numLatBuckets - 2]);
+    for (unsigned b = 0; b < mem::kDirLatBuckets; ++b) {
+        const double count = latBucketCount(r, b);
         total += count;
-        weighted += count * edge;
+        weighted += count * latBucketEdge(b);
     }
     return total > 0.0 ? weighted / total : 0.0;
 }
@@ -291,19 +294,12 @@ runManycore(const FigureOptions &opt)
         Series cdf(std::string("lat-cdf-") + protocolLabel(s) + "-" +
                    std::to_string(s.totalCpus));
         double total = 0.0;
-        for (unsigned b = 0; b < numLatBuckets; ++b)
-            total += static_cast<double>(
-                counterOf(results[i], latBucketNames[b]));
+        for (unsigned b = 0; b < mem::kDirLatBuckets; ++b)
+            total += latBucketCount(results[i], b);
         double cum = 0.0;
-        for (unsigned b = 0; b < numLatBuckets; ++b) {
-            cum += static_cast<double>(
-                counterOf(results[i], latBucketNames[b]));
-            const double edge =
-                b < numLatBuckets - 1
-                    ? static_cast<double>(mem::kDirLatEdges[b])
-                    : 2.0 * static_cast<double>(
-                                mem::kDirLatEdges[numLatBuckets - 2]);
-            cdf.add(edge, total > 0.0 ? cum / total : 0.0);
+        for (unsigned b = 0; b < mem::kDirLatBuckets; ++b) {
+            cum += latBucketCount(results[i], b);
+            cdf.add(latBucketEdge(b), total > 0.0 ? cum / total : 0.0);
         }
         latCdfs.push_back(std::move(cdf));
     }

@@ -3,11 +3,15 @@
  * Metrics export: snapshot-time aggregation and the versioned
  * metrics JSON document.
  *
- * collectMetrics() folds every layer's aggregate statistics (CPI
- * stall buckets, execution modes, cache/coherence/bus counters,
- * region miss attribution, GC, workload transactions) into the
- * System's MetricRegistry — which already holds the live counters,
- * series and journal — and freezes the result into a MetricSnapshot.
+ * collectMetrics() is the one place that names metrics: it reads
+ * every layer's plain counters (CPI stall buckets, execution modes,
+ * cache/coherence/bus/directory counters, region miss attribution,
+ * GC and allocation, workload transactions), the System's sampled
+ * series and its event journal, and builds the MetricSnapshot. Which
+ * families appear follows the machine: `mem.dir.*`/`mem.numa.*` only
+ * with a directory, `mem.numa.mesh.*` only on a mesh, the contention
+ * counters and `mem.dir.lat.*` only with home occupancy, `sys.*`
+ * series only once sampled.
  * Figure harnesses attach one snapshot per (spec, seed) grid point
  * under a canonical point name; writeMetricsJson() serializes the
  * whole set as one schema-versioned document. All maps are sorted
@@ -39,8 +43,8 @@ inline constexpr const char *metricsSchemaVersion =
 std::string pointName(const ExperimentSpec &spec);
 
 /**
- * Export all aggregate statistics of `system` into its registry and
- * return the frozen snapshot. Call after the measured interval.
+ * Build the metric snapshot of `system`'s measured interval. Call
+ * after the interval.
  */
 sim::MetricSnapshot collectMetrics(System &system,
                                    const ExperimentSpec &spec,

@@ -61,6 +61,16 @@ struct SystemConfig
     sim::Tick samplePeriod = 1000000;
 };
 
+/** Machine state sampled every SystemConfig::samplePeriod cycles. */
+struct SampledSeries
+{
+    sim::TimeSeries youngUsedMb;
+    sim::TimeSeries oldUsedMb;
+    sim::TimeSeries runnable;
+    /** Set by the first sample and kept across beginMeasurement(). */
+    bool sampled = false;
+};
+
 /** One simulated machine. */
 class System
 {
@@ -112,9 +122,11 @@ class System
 
     bool gcActive() const { return gcActive_; }
 
-    /** The unified observability registry of this machine. */
-    sim::MetricRegistry &metrics() { return metrics_; }
-    const sim::MetricRegistry &metrics() const { return metrics_; }
+    /** GC, safepoint and migration events since beginMeasurement(). */
+    const sim::EventJournal &journal() const { return journal_; }
+
+    /** Heap and run-queue samples since beginMeasurement(). */
+    const SampledSeries &series() const { return series_; }
 
     /**
      * Record this machine's execution into a reference trace: every
@@ -152,11 +164,9 @@ class System
     SystemConfig cfg_;
     sim::Rng rng_;
 
-    /**
-     * Declared before the subsystems: they hold handles into the
-     * registry and must be destroyed first.
-     */
-    sim::MetricRegistry metrics_;
+    /** Declared before the scheduler, which records into it. */
+    sim::EventJournal journal_;
+    SampledSeries series_;
 
     std::unique_ptr<mem::Hierarchy> mem_;
     std::vector<std::unique_ptr<cpu::InOrderCore>> cores_;

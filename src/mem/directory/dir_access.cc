@@ -73,15 +73,15 @@ Hierarchy::dirHomeAcquire(Addr block, unsigned group, unsigned home,
             entry.transientUntil = t + queue + lat_.directoryLookup;
             return extra + queue;
         }
-        dir_->noteNack();
+        ++dir_->stats().nacks;
         if (attempt + 1 >= kDirRetryBound) {
             // Retry budget exhausted: starvation. Fail forward —
             // complete the transaction rather than hang — and raise
             // the signal the checker reports as `dir.livelock`.
-            dir_->noteLivelockBreak();
+            ++dir_->stats().livelockBreaks;
             return extra;
         }
-        dir_->noteRetry();
+        ++dir_->stats().retries;
         const sim::Tick backoff =
             kDirNackBackoffBase
             << std::min(attempt, kDirNackBackoffCap);
@@ -98,7 +98,7 @@ Hierarchy::dirInvalidateSharers(Addr block, unsigned group,
     const unsigned home = cfg_.homeNodeOf(block, cfg_.l2.blockBytes);
     const SharerSet targets = entry.sharers;
     targets.forEachSetExcept(group, [&](unsigned g) {
-        ++dir_->invalidationsSent();
+        ++dir_->stats().invalidationsSent;
         ++inval_count;
         dir_->chargeHops(home, cfg_.nodeOfGroup(g), 2);
         CacheLine *peer = l2_[g].find(block);
@@ -108,8 +108,8 @@ Hierarchy::dirInvalidateSharers(Addr block, unsigned group,
             // Forward-with-invalidate: the sole-copy holder sends its
             // data straight to the requester before dying.
             supplied = true;
-            ++dir_->forwards();
-            ++*copybacksSupplied_;
+            ++dir_->stats().forwards;
+            ++coherence_.copybacksSupplied;
         }
         if (faultFires(FaultPlan::Kind::DropInvalidate, block, g)) {
             // Invalidation lost in flight: the stale copy survives,
@@ -125,7 +125,7 @@ Hierarchy::dirInvalidateSharers(Addr block, unsigned group,
             // the home keeps a stale sharer bit for a dead copy.
             return;
         }
-        ++dir_->acksReceived();
+        ++dir_->stats().acksReceived;
         entry.sharers.clear(g);
     });
     return supplied;
@@ -165,7 +165,7 @@ Hierarchy::l2AccessDirectory(const MemRef &ref, sim::Tick now,
         // Shared: ownership upgrade through the home.
         LineMeta &meta = meta_[block];
         DirEntry &entry = dir_->entry(block);
-        ++dir_->upgrades();
+        ++dir_->stats().upgrades;
         dir_->chargeHops(my_node, home, 2);
         const sim::Tick contention =
             dirHomeAcquire(block, group, home, req_hops, entry, now) +
@@ -191,9 +191,9 @@ Hierarchy::l2AccessDirectory(const MemRef &ref, sim::Tick now,
     sim::Tick data_leg = lat_.memory;
     dir_->chargeHops(my_node, home, 2);
     if (req_hops == 0)
-        ++dir_->localMisses();
+        ++dir_->stats().localMisses;
     else
-        ++dir_->remoteMisses();
+        ++dir_->stats().remoteMisses;
     // Contended mode: win a home slot (NACK/retry/backoff), then
     // queue the request leg onto the interconnect links. The response
     // leg is charged per branch below — it runs home -> requester, or
@@ -203,7 +203,7 @@ Hierarchy::l2AccessDirectory(const MemRef &ref, sim::Tick now,
         dir_->linkTraverse(my_node, home, lat_.hop);
 
     if (want_write) {
-        ++dir_->getM();
+        ++dir_->stats().getM;
         unsigned invals = 0;
         const std::int32_t prev_owner = entry.owner;
         peer_supplied =
@@ -235,7 +235,7 @@ Hierarchy::l2AccessDirectory(const MemRef &ref, sim::Tick now,
         entry.sharers.set(group);
         entry.owner = static_cast<std::int32_t>(group);
     } else {
-        ++dir_->getS();
+        ++dir_->stats().getS;
         if (entry.owner >= 0 &&
             entry.owner != static_cast<std::int32_t>(group)) {
             const unsigned og = static_cast<unsigned>(entry.owner);
@@ -244,12 +244,12 @@ Hierarchy::l2AccessDirectory(const MemRef &ref, sim::Tick now,
                        "directory owner out of sync (forward)");
             if (peer && suppliesDataOnForward(peer->state)) {
                 peer_supplied = true;
-                ++dir_->forwards();
-                ++*copybacksSupplied_;
+                ++dir_->stats().forwards;
+                ++coherence_.copybacksSupplied;
                 if (peer->state == CoherenceState::Modified) {
                     // MESI has no Owned: the dirty block also goes
                     // back to the home on the downgrade.
-                    ++dir_->writebacksToHome();
+                    ++dir_->stats().writebacksToHome;
                 }
                 if (!faultFires(FaultPlan::Kind::KeepOwnerOnSnoop,
                                 block, og)) {
@@ -351,7 +351,7 @@ Hierarchy::l2BlockStoreDirectory(const MemRef &ref, sim::Tick now)
         // overwritten, so no data moves.
         LineMeta &meta = meta_[block];
         DirEntry &entry = dir_->entry(block);
-        ++dir_->upgrades();
+        ++dir_->stats().upgrades;
         dir_->chargeHops(my_node, home, 2);
         const sim::Tick contention =
             dirHomeAcquire(block, group, home, req_hops, entry, now) +
@@ -372,7 +372,7 @@ Hierarchy::l2BlockStoreDirectory(const MemRef &ref, sim::Tick now)
     // copy is dropped (it is wholly overwritten), not copied back.
     LineMeta &meta = meta_[block];
     DirEntry &entry = dir_->entry(block);
-    ++dir_->getM();
+    ++dir_->stats().getM;
     dir_->chargeHops(my_node, home, 2);
     const sim::Tick contention =
         dirHomeAcquire(block, group, home, req_hops, entry, now) +

@@ -17,10 +17,10 @@
  * The controller also carries the protocol's message accounting
  * (requests, forwards, invalidations, acks, home writebacks, put
  * notices) and the NUMA traffic split (local vs. remote misses, hops
- * traversed), surfaced through MetricRegistry as `mem.dir.*` /
- * `mem.numa.*` — registered only when the directory protocol is
- * active, so snooping-bus metric output is byte-identical to before
- * this subsystem existed.
+ * traversed) in one plain DirectoryStats struct; core::collectMetrics
+ * reports it as `mem.dir.*` / `mem.numa.*` only when the directory
+ * protocol is active, so snooping-bus metric output is byte-identical
+ * to before this subsystem existed.
  *
  * Contention plane (DESIGN.md §3.15, opt-in via
  * MachineConfig::dirOccupancy): each home owns a bounded set of
@@ -30,10 +30,12 @@
  * is NACKed; the requester retries with bounded exponential backoff
  * (kDirRetryBound attempts). Interconnect hops additionally queue on
  * per-directed-link utilization models (ring or dimension-ordered XY
- * mesh routes). All contended-mode counters (`mem.dir.nacks`,
- * `mem.dir.retries`, `mem.dir.occupancy_*`, `mem.numa.link.*`,
- * `mem.numa.mesh.*`) are registered only when the plane is enabled,
- * so contention-free metric output stays byte-identical to PR 9.
+ * mesh routes). The contended-mode counters (`mem.dir.nacks`,
+ * `mem.dir.retries`, `mem.dir.occupancy_*`, `mem.dir.lat.*`,
+ * `mem.numa.link.*`) are reported only when the plane is enabled and
+ * the per-axis `mem.numa.mesh.*` split only on a mesh, so
+ * contention-free metric output stays byte-identical to the model
+ * without the plane.
  */
 
 #ifndef MEM_DIRECTORY_DIRECTORY_HH
@@ -41,13 +43,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
 #include "mem/block_meta.hh"
 #include "mem/memref.hh"
 #include "mem/sharer_set.hh"
 #include "sim/config.hh"
-#include "sim/metrics.hh"
 #include "sim/ticks.hh"
 
 namespace middlesim::mem
@@ -79,6 +81,56 @@ inline constexpr unsigned kDirNackBackoffCap = 6;
  */
 inline constexpr sim::Tick kDirNackHorizon = 512;
 
+/** Upper edges (ticks) of the mem.dir.lat.* CDF buckets. */
+inline constexpr sim::Tick kDirLatEdges[] = {64,   128,  256, 512,
+                                             1024, 2048, 4096};
+
+/** Miss-latency CDF buckets: one per edge plus the overflow bucket. */
+inline constexpr unsigned kDirLatBuckets = std::size(kDirLatEdges) + 1;
+
+/** Metric name of each latency bucket, in ascending-edge order. */
+inline constexpr const char *kDirLatBucketNames[kDirLatBuckets] = {
+    "mem.dir.lat.le_64",   "mem.dir.lat.le_128",
+    "mem.dir.lat.le_256",  "mem.dir.lat.le_512",
+    "mem.dir.lat.le_1024", "mem.dir.lat.le_2048",
+    "mem.dir.lat.le_4096", "mem.dir.lat.gt_4096"};
+
+/**
+ * The directory's message, NUMA and contention accounting. Zeroed
+ * only when a System begins its measured interval.
+ */
+struct DirectoryStats
+{
+    // Protocol messages.
+    std::uint64_t getS = 0;
+    std::uint64_t getM = 0;
+    std::uint64_t upgrades = 0;
+    std::uint64_t forwards = 0;
+    std::uint64_t invalidationsSent = 0;
+    std::uint64_t acksReceived = 0;
+    std::uint64_t writebacksToHome = 0;
+    std::uint64_t putNotices = 0;
+
+    // NUMA traffic split.
+    std::uint64_t localMisses = 0;
+    std::uint64_t remoteMisses = 0;
+    std::uint64_t hops = 0;
+    /** Per-axis split of `hops` (mesh topology only). */
+    std::uint64_t meshXHops = 0;
+    std::uint64_t meshYHops = 0;
+
+    // Contention plane (dirOccupancy != 0 only).
+    std::uint64_t nacks = 0;
+    std::uint64_t retries = 0;
+    std::uint64_t livelockBreaks = 0;
+    std::uint64_t occupancyBusyCycles = 0;
+    std::uint64_t occupancyQueueDelay = 0;
+    std::uint64_t linkBusyCycles = 0;
+    std::uint64_t linkQueueDelay = 0;
+    /** Contended miss latencies, bucketed by kDirLatEdges. */
+    std::uint64_t latBuckets[kDirLatBuckets] = {};
+};
+
 /** Home-node directory record for one block. */
 struct DirEntry
 {
@@ -108,19 +160,9 @@ struct DirEntry
 class DirectoryController
 {
   public:
-    /**
-     * @param metrics registry for the mem.dir.* / mem.numa.* counters;
-     *        nullptr counts into private fallbacks (tests).
-     */
-    DirectoryController(unsigned num_groups,
-                        sim::MetricRegistry *metrics);
+    explicit DirectoryController(unsigned num_groups);
 
-    /**
-     * Arm the topology/contention plane from the machine config.
-     * Registers the contended-mode counters (and the mesh per-axis
-     * hop split) only when actually enabled, keeping default metric
-     * output byte-identical to the contention-free model.
-     */
+    /** Arm the topology/contention plane from the machine config. */
     void configure(const sim::MachineConfig &cfg);
 
     /** True when home occupancy / link queuing is modeled. */
@@ -164,8 +206,8 @@ class DirectoryController
     /**
      * Queue delay of one message traversing the `from` -> `to` route
      * (ring or dimension-ordered XY mesh), charging `per_hop`
-     * occupancy into each directed link crossed and the per-axis mesh
-     * hop split. 0 when uncontended or from == to.
+     * occupancy into each directed link crossed (hop counts are
+     * chargeHops()'s). 0 when uncontended or from == to.
      */
     sim::Tick linkTraverse(unsigned from, unsigned to,
                            sim::Tick per_hop);
@@ -180,52 +222,24 @@ class DirectoryController
 
     /**
      * Account `count` traversals of the a <-> b route: total hops
-     * (mem.numa.hops) plus the per-axis mesh split (mem.numa.mesh.*).
+     * plus the per-axis mesh split.
      */
     void
     chargeHops(unsigned a, unsigned b, unsigned count)
     {
-        hopsTraversed() += count * cfg_.hopsBetween(a, b);
+        stats_.hops += count * cfg_.hopsBetween(a, b);
         if (cfg_.topology == sim::Topology::Mesh) {
-            *meshXHops_ += count * cfg_.meshHopsX(a, b);
-            *meshYHops_ += count * cfg_.meshHopsY(a, b);
+            stats_.meshXHops += count * cfg_.meshHopsX(a, b);
+            stats_.meshYHops += count * cfg_.meshHopsY(a, b);
         }
     }
 
-    /** Bucket a contended-mode miss latency into the mem.dir.lat.* CDF. */
+    /** Bucket a contended-mode miss latency into the latency CDF. */
     void recordMissLatency(sim::Tick latency);
 
-    // NACK/retry accounting, bumped by the access path's retry loop.
-    void noteNack() { ++*nacks_; }
-    void noteRetry() { ++*retries_; }
-    void noteLivelockBreak() { ++*livelockBreaks_; }
-
-    std::uint64_t nacks() const { return nacks_->value(); }
-    std::uint64_t retries() const { return retries_->value(); }
-    std::uint64_t livelockBreaks() const
-    {
-        return livelockBreaks_->value();
-    }
-
-    // Message accounting, bumped by the access path.
-    sim::Counter &getS() { return *getS_; }
-    sim::Counter &getM() { return *getM_; }
-    sim::Counter &upgrades() { return *upgrades_; }
-    sim::Counter &forwards() { return *forwards_; }
-    sim::Counter &invalidationsSent() { return *invalidationsSent_; }
-    sim::Counter &acksReceived() { return *acksReceived_; }
-    sim::Counter &writebacksToHome() { return *writebacksToHome_; }
-    sim::Counter &putNotices() { return *putNotices_; }
-    sim::Counter &localMisses() { return *localMisses_; }
-    sim::Counter &remoteMisses() { return *remoteMisses_; }
-    sim::Counter &hopsTraversed() { return *hopsTraversed_; }
-
-    const sim::Counter &invalidationsSent() const
-    {
-        return *invalidationsSent_;
-    }
-
-    const sim::Counter &acksReceived() const { return *acksReceived_; }
+    /** Message/NUMA/contention counts, bumped by the access path. */
+    DirectoryStats &stats() { return stats_; }
+    const DirectoryStats &stats() const { return stats_; }
 
   private:
     /** One home's contention state: slot reservations + epoch queue. */
@@ -249,46 +263,14 @@ class DirectoryController
                        sim::Tick per_hop);
 
     BlockMetaTableT<DirEntry> entries_;
-    sim::MetricRegistry *metrics_;
     sim::MachineConfig cfg_;
 
     unsigned slotsPerHome_ = 0;
     std::vector<HomeState> homes_;
     std::vector<LinkState> links_;
 
-    sim::Counter *getS_;
-    sim::Counter *getM_;
-    sim::Counter *upgrades_;
-    sim::Counter *forwards_;
-    sim::Counter *invalidationsSent_;
-    sim::Counter *acksReceived_;
-    sim::Counter *writebacksToHome_;
-    sim::Counter *putNotices_;
-    sim::Counter *localMisses_;
-    sim::Counter *remoteMisses_;
-    sim::Counter *hopsTraversed_;
-
-    // Contended-mode counters (fallback-bound until configure()).
-    sim::Counter *nacks_;
-    sim::Counter *retries_;
-    sim::Counter *livelockBreaks_;
-    sim::Counter *occupancyBusyCycles_;
-    sim::Counter *occupancyQueueDelay_;
-    sim::Counter *linkBusyCycles_;
-    sim::Counter *linkQueueDelay_;
-    sim::Counter *meshXHops_;
-    sim::Counter *meshYHops_;
-
-    /** mem.dir.lat.* CDF buckets (upper edges in kDirLatEdges). */
-    static constexpr unsigned kLatBuckets = 8;
-    sim::Counter *latBuckets_[kLatBuckets];
-
-    sim::Counter fallback_[20 + kLatBuckets];
+    DirectoryStats stats_;
 };
-
-/** Upper edges (ticks) of the mem.dir.lat.* CDF buckets. */
-inline constexpr sim::Tick kDirLatEdges[] = {64,   128,  256, 512,
-                                             1024, 2048, 4096};
 
 } // namespace middlesim::mem
 

@@ -9,19 +9,9 @@ namespace middlesim::mem
 {
 
 Hierarchy::Hierarchy(const sim::MachineConfig &config,
-                     const LatencyModel &latency, bool bus_contention,
-                     sim::MetricRegistry *metrics)
+                     const LatencyModel &latency, bool bus_contention)
     : cfg_(config), lat_(latency), bus_(bus_contention)
 {
-    invalidations_ = metrics
-        ? &metrics->counter("mem.coherence.invalidations")
-        : &fallbackCounters_[0];
-    backInvalidations_ = metrics
-        ? &metrics->counter("mem.coherence.l1_back_invalidations")
-        : &fallbackCounters_[1];
-    copybacksSupplied_ = metrics
-        ? &metrics->counter("mem.coherence.copybacks_supplied")
-        : &fallbackCounters_[2];
     cfg_.validate();
     // Per-block sharer sets carry one bit per L2 group; each protocol
     // declares how wide a machine it supports. The snooping bus keeps
@@ -43,8 +33,7 @@ Hierarchy::Hierarchy(const sim::MachineConfig &config,
     }
     meta_ = BlockMetaTable(1u << 18, LineMeta(cfg_.numL2s()));
     if (cfg_.protocol == sim::CoherenceProtocol::DirectoryMesi) {
-        dir_ = std::make_unique<DirectoryController>(cfg_.numL2s(),
-                                                     metrics);
+        dir_ = std::make_unique<DirectoryController>(cfg_.numL2s());
         dir_->configure(cfg_);
     }
 
@@ -213,7 +202,7 @@ Hierarchy::l2Access(const MemRef &ref, sim::Tick now, bool is_instr,
         sim_assert(peer, "presence mask out of sync (snoop)");
         if (isOwner(peer->state)) {
             peer_supplied = true;
-            ++*copybacksSupplied_;
+            ++coherence_.copybacksSupplied;
         }
         if (want_write) {
             if (!faultFires(FaultPlan::Kind::DropInvalidate, block, g))
@@ -396,9 +385,9 @@ void
 Hierarchy::dirHandlePut(unsigned group, const CacheLine &victim)
 {
     DirEntry &entry = dir_->entry(victim.tag);
-    ++dir_->putNotices();
+    ++dir_->stats().putNotices;
     if (victim.state == CoherenceState::Modified)
-        ++dir_->writebacksToHome();
+        ++dir_->stats().writebacksToHome;
     if (entry.owner == static_cast<std::int32_t>(group))
         entry.owner = -1;
     entry.sharers.clear(group);
@@ -408,7 +397,7 @@ void
 Hierarchy::invalidateForRemoteWrite(unsigned group, CacheLine &line,
                                     LineMeta &meta)
 {
-    ++*invalidations_;
+    ++coherence_.invalidations;
     meta.invalidatedMask.set(group);
     meta.presenceMask.clear(group);
     backInvalidateL1s(group, line.tag);
@@ -425,11 +414,11 @@ Hierarchy::backInvalidateL1s(unsigned group, Addr block)
     for (unsigned c = first; c < last && c < cfg_.totalCpus; ++c) {
         if (CacheLine *line = l1i_[c].find(block)) {
             line->state = CoherenceState::Invalid;
-            ++*backInvalidations_;
+            ++coherence_.l1BackInvalidations;
         }
         if (CacheLine *line = l1d_[c].find(block)) {
             line->state = CoherenceState::Invalid;
-            ++*backInvalidations_;
+            ++coherence_.l1BackInvalidations;
         }
     }
 }
@@ -457,6 +446,14 @@ Hierarchy::resetStats()
     for (auto &st : stats_)
         st = CacheStats();
     bus_.reset();
+}
+
+void
+Hierarchy::resetCoherenceStats()
+{
+    coherence_ = CoherenceStats();
+    if (dir_)
+        dir_->stats() = DirectoryStats();
 }
 
 void

@@ -38,7 +38,6 @@
 #include "mem/stats.hh"
 #include "mem/trace_sink.hh"
 #include "sim/config.hh"
-#include "sim/metrics.hh"
 #include "stats/distribution.hh"
 
 namespace middlesim::mem
@@ -79,19 +78,27 @@ class TimelineSampler
 inline constexpr unsigned kMaxSnoopGroups = 32;
 inline constexpr unsigned kMaxDirectoryGroups = 1024;
 
+/**
+ * Coherence traffic that is not attributable to the requesting CPU,
+ * so it is counted per machine rather than in the per-CPU CacheStats.
+ */
+struct CoherenceStats
+{
+    /** Peer L2 copies invalidated by a remote write. */
+    std::uint64_t invalidations = 0;
+    /** L1 copies dropped when their L2 line was invalidated or evicted. */
+    std::uint64_t l1BackInvalidations = 0;
+    /** Peer L2s that supplied data (snoop copyback or forward). */
+    std::uint64_t copybacksSupplied = 0;
+};
+
 /** The full coherent memory system of one simulated machine. */
 class Hierarchy
 {
   public:
-    /**
-     * @param metrics registry for live coherence counters
-     *        (invalidations, L1 back-invalidations, snoop copybacks
-     *        supplied); pass nullptr to count into private fallbacks.
-     */
     Hierarchy(const sim::MachineConfig &config,
               const LatencyModel &latency,
-              bool bus_contention = true,
-              sim::MetricRegistry *metrics = nullptr);
+              bool bus_contention = true);
 
     /** Perform one access; returns latency and classification. */
     AccessResult
@@ -116,6 +123,17 @@ class Hierarchy
 
     /** Zero all per-CPU statistics (cache contents are preserved). */
     void resetStats();
+
+    /** Coherence traffic counts (see CoherenceStats). */
+    const CoherenceStats &coherenceStats() const { return coherence_; }
+
+    /**
+     * Zero the coherence and directory counts. Separate from
+     * resetStats(), which trace replay also calls on StatsReset: the
+     * checker's ack and livelock baselines rely on these counts
+     * running on across that point.
+     */
+    void resetCoherenceStats();
 
     /** Enable per-line copyback and touched-line tracking. */
     void setCommunicationTracking(bool on);
@@ -342,16 +360,7 @@ class Hierarchy
     /** Directory protocol state; null under the snooping bus. */
     std::unique_ptr<DirectoryController> dir_;
 
-    /**
-     * Live coherence counters (registry-backed when a registry was
-     * supplied; otherwise the private fallbacks below). Invalidation
-     * traffic is not attributable to the requesting CPU, so it is
-     * counted here rather than in the per-CPU CacheStats.
-     */
-    sim::Counter *invalidations_;
-    sim::Counter *backInvalidations_;
-    sim::Counter *copybacksSupplied_;
-    sim::Counter fallbackCounters_[3];
+    CoherenceStats coherence_;
 
     bool trackComm_ = false;
     stats::KeyCounts c2cPerLine_;

@@ -39,12 +39,12 @@ class Scheduler
      *        on a non-home CPU only after waiting this many cycles in
      *        the run queue (Solaris ts_rechoose_interval). Preserves
      *        per-CPU cache affinity under frequent blocking.
-     * @param metrics registry for migration counting and journal
-     *        events; pass nullptr to count into a private fallback.
+     * @param journal receives a `sched.migrate` event per migration;
+     *        nullptr records none.
      */
     Scheduler(unsigned total_cpus, unsigned app_cpus,
               sim::Tick rechoose = 1000000,
-              sim::MetricRegistry *metrics = nullptr);
+              sim::EventJournal *journal = nullptr);
 
     /** Register a thread; returns its tid. The program is borrowed. */
     unsigned addThread(exec::ThreadProgram *program, bool in_app_set,
@@ -107,7 +107,7 @@ class Scheduler
     void countContextSwitch() { ++contextSwitches_; }
 
     /** Cross-CPU moves of previously-placed unbound threads. */
-    std::uint64_t migrations() const { return migrations_->value(); }
+    std::uint64_t migrations() const { return migrations_; }
 
     /** Record migrations into a reference trace (nullptr detaches). */
     void setTraceSink(mem::TraceSink *sink) { traceSink_ = sink; }
@@ -138,9 +138,8 @@ class Scheduler
     std::uint64_t contextSwitches_ = 0;
     sim::Tick rechoose_;
 
-    sim::Counter *migrations_;
-    sim::Counter fallbackMigrations_;
-    sim::EventJournal *journal_ = nullptr;
+    std::uint64_t migrations_ = 0;
+    sim::EventJournal *journal_;
     mem::TraceSink *traceSink_ = nullptr;
     SchedObserver *observer_ = nullptr;
 };

@@ -1,31 +1,26 @@
 /**
  * @file
- * Unified observability: the metric registry, the event journal, and
- * periodic time-series sampling.
+ * Metric value types: the frozen MetricSnapshot and the three
+ * structures a layer keeps live values in when a plain counter is
+ * not enough (the power-of-two HistogramMetric, the sampled
+ * TimeSeries and the bounded EventJournal).
  *
- * Every simulated System owns one MetricRegistry; each layer (CPU
- * cores, store buffer, cache hierarchy, bus/coherence, scheduler,
- * JVM/GC/TLAB, workload models) registers hierarchical dotted names
- * ("mem.coherence.invalidations") and keeps the returned handle for
- * hot-path increments. Counters are relaxed atomics, so an increment
- * costs one uncontended atomic add; everything else (gauges,
- * histograms, series, the journal) is written on cold paths only.
- *
- * A snapshot() freezes the registry into a MetricSnapshot — a sorted,
- * plain-data view that can be merged across runs (counters and
- * histograms sum; gauges sum, so keep them to totals or per-run
- * values) and serialized to the stable metrics JSON schema (see
- * EXPERIMENTS.md). Because each parallel grid point owns its private
- * registry and snapshots are taken before results are handed back,
- * merged or serialized output is byte-identical for any --jobs count.
+ * Layers count in plain fields they own; core::collectMetrics()
+ * (core/metrics_io.cc) is the one place that names counters, gauges,
+ * histograms and series ("mem.coherence.invalidations") and builds
+ * the snapshot. A MetricSnapshot is a sorted, plain-data view that
+ * can be merged across runs (counters and histograms sum; gauges
+ * sum, so keep them to totals or per-run values) and serialized to
+ * the stable metrics JSON schema (see EXPERIMENTS.md). Because each
+ * parallel grid point owns its System and snapshots are taken before
+ * results are handed back, merged or serialized output is
+ * byte-identical for any --jobs count.
  */
 
 #ifndef SIM_METRICS_HH
 #define SIM_METRICS_HH
 
-#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <ostream>
 #include <string>
@@ -35,67 +30,6 @@
 
 namespace middlesim::sim
 {
-
-/** Monotonic event count; hot-path increments are relaxed atomics. */
-class Counter
-{
-  public:
-    void
-    inc(std::uint64_t delta = 1)
-    {
-        value_.fetch_add(delta, std::memory_order_relaxed);
-    }
-
-    Counter &
-    operator++()
-    {
-        inc();
-        return *this;
-    }
-
-    Counter &
-    operator+=(std::uint64_t delta)
-    {
-        inc(delta);
-        return *this;
-    }
-
-    /** Overwrite (snapshot-time export of an externally kept total). */
-    void
-    set(std::uint64_t v)
-    {
-        value_.store(v, std::memory_order_relaxed);
-    }
-
-    std::uint64_t
-    value() const
-    {
-        return value_.load(std::memory_order_relaxed);
-    }
-
-  private:
-    std::atomic<std::uint64_t> value_{0};
-};
-
-/** Point-in-time level (occupancy, rate, ratio). */
-class Gauge
-{
-  public:
-    void
-    set(double v)
-    {
-        value_.store(v, std::memory_order_relaxed);
-    }
-
-    double
-    value() const
-    {
-        return value_.load(std::memory_order_relaxed);
-    }
-
-  private:
-    std::atomic<double> value_{0.0};
-};
 
 /**
  * Power-of-two bucketed sample distribution (bucket k holds values in
@@ -177,9 +111,9 @@ class EventJournal
 };
 
 /**
- * Frozen, plain-data view of a registry: sorted by name, mergeable,
- * serializable. This is what travels from a grid-point simulation
- * back to the runner thread.
+ * Frozen, plain-data view of one run's metrics: sorted by name,
+ * mergeable, serializable. This is what travels from a grid-point
+ * simulation back to the runner thread.
  */
 struct MetricSnapshot
 {
@@ -224,65 +158,6 @@ std::string formatDouble(double v);
 
 /** JSON string escaping (control characters, quotes, backslash). */
 std::string jsonEscape(const std::string &s);
-
-/**
- * The per-System registry. Handle getters are idempotent: asking for
- * an existing name returns the same handle (so independent layers may
- * share a metric); re-registering a name as a different kind is a
- * fatal configuration error. Handles stay valid for the registry's
- * lifetime (deque storage).
- */
-class MetricRegistry
-{
-  public:
-    explicit MetricRegistry(std::size_t journal_capacity = 4096)
-        : journal_(journal_capacity)
-    {
-    }
-
-    MetricRegistry(const MetricRegistry &) = delete;
-    MetricRegistry &operator=(const MetricRegistry &) = delete;
-
-    Counter &counter(const std::string &name);
-    Gauge &gauge(const std::string &name);
-    HistogramMetric &histogram(const std::string &name);
-    TimeSeries &series(const std::string &name, Tick period);
-
-    EventJournal &journal() { return journal_; }
-    const EventJournal &journal() const { return journal_; }
-
-    /** Number of registered metrics (all kinds, journal excluded). */
-    std::size_t size() const { return kinds_.size(); }
-
-    MetricSnapshot snapshot() const;
-
-    /** Zero every metric and clear the journal (measurement start). */
-    void reset();
-
-  private:
-    enum class Kind
-    {
-        Counter,
-        Gauge,
-        Histogram,
-        Series,
-    };
-
-    /** Find-or-create the slot for (name, kind); fatal on kind clash. */
-    std::size_t slotFor(const std::string &name, Kind kind);
-
-    std::map<std::string, std::pair<Kind, std::size_t>> kinds_;
-    std::deque<Counter> counters_;
-    std::deque<Gauge> gauges_;
-    std::deque<HistogramMetric> histograms_;
-    std::deque<TimeSeries> series_;
-    /** name of each slot, per kind, in creation order. */
-    std::vector<std::string> counterNames_;
-    std::vector<std::string> gaugeNames_;
-    std::vector<std::string> histogramNames_;
-    std::vector<std::string> seriesNames_;
-    EventJournal journal_;
-};
 
 } // namespace middlesim::sim
 

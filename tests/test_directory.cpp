@@ -49,7 +49,6 @@
 #include "mem/fault.hh"
 #include "mem/hierarchy.hh"
 #include "sim/config.hh"
-#include "sim/metrics.hh"
 #include "sim/rng.hh"
 #include "trace/format.hh"
 #include "trace/reader.hh"
@@ -325,8 +324,7 @@ TEST(DirInject, DropInvalAckCaughtAndShrunk)
 
 TEST(DirNuma, SingleNodeHasNoRemoteTraffic)
 {
-    sim::MetricRegistry reg;
-    Hierarchy h(dirMachine(4, 2, 1), mem::LatencyModel{}, false, &reg);
+    Hierarchy h(dirMachine(4, 2, 1), mem::LatencyModel{}, false);
     sim::Rng rng(9);
     for (unsigned i = 0; i < 20000; ++i) {
         h.access({64 * rng.uniform(4096),
@@ -335,16 +333,16 @@ TEST(DirNuma, SingleNodeHasNoRemoteTraffic)
                   static_cast<unsigned>(rng.uniform(4))},
                  i);
     }
-    EXPECT_GT(reg.counter("mem.numa.local_misses").value(), 0u);
-    EXPECT_EQ(reg.counter("mem.numa.remote_misses").value(), 0u);
-    EXPECT_EQ(reg.counter("mem.numa.hops").value(), 0u);
-    EXPECT_GT(reg.counter("mem.dir.get_s").value(), 0u);
+    const mem::DirectoryStats &d = h.directory()->stats();
+    EXPECT_GT(d.localMisses, 0u);
+    EXPECT_EQ(d.remoteMisses, 0u);
+    EXPECT_EQ(d.hops, 0u);
+    EXPECT_GT(d.getS, 0u);
 }
 
 TEST(DirNuma, MultiNodeSplitsLocalRemote)
 {
-    sim::MetricRegistry reg;
-    Hierarchy h(dirMachine(8, 2, 4), mem::LatencyModel{}, false, &reg);
+    Hierarchy h(dirMachine(8, 2, 4), mem::LatencyModel{}, false);
     sim::Rng rng(10);
     for (unsigned i = 0; i < 20000; ++i) {
         h.access({64 * rng.uniform(4096),
@@ -353,12 +351,11 @@ TEST(DirNuma, MultiNodeSplitsLocalRemote)
                   static_cast<unsigned>(rng.uniform(8))},
                  i);
     }
-    const auto local = reg.counter("mem.numa.local_misses").value();
-    const auto remote = reg.counter("mem.numa.remote_misses").value();
+    const mem::DirectoryStats &d = h.directory()->stats();
     // Block-interleaved homes: ~3/4 of misses land on remote nodes.
-    EXPECT_GT(local, 0u);
-    EXPECT_GT(remote, local);
-    EXPECT_GT(reg.counter("mem.numa.hops").value(), remote);
+    EXPECT_GT(d.localMisses, 0u);
+    EXPECT_GT(d.remoteMisses, d.localMisses);
+    EXPECT_GT(d.hops, d.remoteMisses);
 }
 
 TEST(DirNuma, TopologyHelpers)
@@ -520,10 +517,9 @@ TEST(DirMesh, DegenerateMeshMatchesRing)
 
 TEST(DirMesh, ChargeHopsSplitsAxesExactly)
 {
-    sim::MetricRegistry reg;
     const sim::MachineConfig m =
         dirMachine(16, 1, 16, sim::Topology::Mesh, 1);
-    mem::DirectoryController dir(m.numL2s(), &reg);
+    mem::DirectoryController dir(m.numL2s());
     dir.configure(m);
     sim::Rng rng(42);
     std::uint64_t want = 0;
@@ -533,9 +529,9 @@ TEST(DirMesh, ChargeHopsSplitsAxesExactly)
         dir.chargeHops(a, b, 1);
         want += m.hopsBetween(a, b);
     }
-    const auto x = reg.counter("mem.numa.mesh.x_hops").value();
-    const auto y = reg.counter("mem.numa.mesh.y_hops").value();
-    EXPECT_EQ(reg.counter("mem.numa.hops").value(), want);
+    const auto x = dir.stats().meshXHops;
+    const auto y = dir.stats().meshYHops;
+    EXPECT_EQ(dir.stats().hops, want);
     EXPECT_EQ(x + y, want);
     EXPECT_GT(x, 0u);
     EXPECT_GT(y, 0u);
@@ -567,7 +563,7 @@ TEST(DirProperty, RandomNackRetrySequencesStayBounded)
             1 + static_cast<unsigned>(rng.uniform(3));
         const sim::MachineConfig m =
             dirMachine(8, 2, nodes, topo, occupancy);
-        mem::DirectoryController dir(m.numL2s(), nullptr);
+        mem::DirectoryController dir(m.numL2s());
         dir.configure(m);
         ASSERT_TRUE(dir.contended());
         ASSERT_EQ(dir.slotsPerHome(), occupancy);
@@ -593,8 +589,8 @@ TEST(DirProperty, RandomNackRetrySequencesStayBounded)
                         << "seed " << seed;
                     break;
                 }
-                dir.noteNack();
-                dir.noteRetry();
+                ++dir.stats().nacks;
+                ++dir.stats().retries;
                 t += mem::kDirNackBackoffBase
                      << std::min(attempt, mem::kDirNackBackoffCap);
             }
@@ -611,8 +607,9 @@ TEST(DirProperty, RandomNackRetrySequencesStayBounded)
         }
         // Every NACK in an honest run is followed by a retry, and
         // the budget was never exhausted.
-        EXPECT_EQ(dir.nacks(), dir.retries()) << "seed " << seed;
-        EXPECT_EQ(dir.livelockBreaks(), 0u) << "seed " << seed;
+        EXPECT_EQ(dir.stats().nacks, dir.stats().retries)
+            << "seed " << seed;
+        EXPECT_EQ(dir.stats().livelockBreaks, 0u) << "seed " << seed;
 
         // Eventual drain: after an idle epoch, a far-future request
         // is admitted instantly with no queue delay.
@@ -647,9 +644,8 @@ TEST(DirProperty, ContendedCountersAreDeterministic)
     // The contended plane must not perturb determinism: identical
     // runs yield identical occupancy/link/latency counters.
     const auto run_once = [] {
-        sim::MetricRegistry reg;
         Hierarchy h(dirMachine(8, 2, 4, sim::Topology::Mesh, 2),
-                    mem::LatencyModel{}, false, &reg);
+                    mem::LatencyModel{}, false);
         sim::Rng rng(77);
         for (unsigned i = 0; i < 20000; ++i) {
             h.access({64 * rng.uniform(4096),
@@ -658,17 +654,11 @@ TEST(DirProperty, ContendedCountersAreDeterministic)
                       static_cast<unsigned>(rng.uniform(8))},
                      i);
         }
-        std::vector<std::uint64_t> vals;
-        for (const char *name :
-             {"mem.dir.nacks", "mem.dir.retries",
-              "mem.dir.occupancy_busy_cycles",
-              "mem.dir.occupancy_queue_delay",
-              "mem.numa.link.busy_cycles",
-              "mem.numa.link.queue_delay", "mem.numa.mesh.x_hops",
-              "mem.numa.mesh.y_hops", "mem.dir.lat.le_256",
-              "mem.dir.lat.gt_4096"})
-            vals.push_back(reg.counter(name).value());
-        return vals;
+        const mem::DirectoryStats &d = h.directory()->stats();
+        return std::vector<std::uint64_t>{
+            d.nacks, d.retries, d.occupancyBusyCycles,
+            d.occupancyQueueDelay, d.linkBusyCycles, d.linkQueueDelay,
+            d.meshXHops, d.meshYHops, d.latBuckets[2], d.latBuckets[7]};
     };
     const auto first = run_once();
     EXPECT_EQ(first, run_once());

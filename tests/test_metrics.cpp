@@ -1,8 +1,8 @@
 /**
  * @file
- * Unit tests for the unified observability layer: metric registry
- * handle semantics, journal bounding, snapshot merge arithmetic, and
- * the deterministic JSON serialization.
+ * Unit tests for the observability layer: histogram bucketing,
+ * journal bounding, snapshot merge arithmetic, the deterministic JSON
+ * serialization, and which metric families a machine reports.
  */
 
 #include <gtest/gtest.h>
@@ -11,42 +11,27 @@
 #include <cstdio>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "core/experiment.hh"
 #include "sim/metrics.hh"
 
 using namespace middlesim::sim;
 
-TEST(Counter, IncrementsAndSet)
+namespace
 {
-    Counter c;
-    EXPECT_EQ(c.value(), 0u);
-    ++c;
-    c.inc(9);
-    c += 10;
-    EXPECT_EQ(c.value(), 20u);
-    c.set(5);
-    EXPECT_EQ(c.value(), 5u);
+
+/** Snapshot form of a histogram holding the given samples. */
+MetricSnapshot::HistogramData
+histogramOf(std::initializer_list<std::uint64_t> samples)
+{
+    HistogramMetric h;
+    for (std::uint64_t x : samples)
+        h.add(x);
+    return {h.count(), h.sum(), h.buckets()};
 }
 
-TEST(Counter, ConcurrentIncrementsAreLossless)
-{
-    Counter c;
-    constexpr int kThreads = 4;
-    constexpr int kPerThread = 50000;
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&c] {
-            for (int i = 0; i < kPerThread; ++i)
-                ++c;
-        });
-    }
-    for (auto &t : threads)
-        t.join();
-    EXPECT_EQ(c.value(),
-              static_cast<std::uint64_t>(kThreads) * kPerThread);
-}
+} // namespace
 
 TEST(HistogramMetric, EmptyHasNoBucketsOrSamples)
 {
@@ -115,83 +100,24 @@ TEST(EventJournal, CapsRetainedEventsAndCountsDrops)
     EXPECT_EQ(j.dropped(), 0u);
 }
 
-TEST(MetricRegistry, HandlesAreIdempotent)
-{
-    MetricRegistry reg;
-    Counter &a = reg.counter("mem.misses");
-    Counter &b = reg.counter("mem.misses");
-    EXPECT_EQ(&a, &b);
-    EXPECT_EQ(reg.size(), 1u);
-    reg.gauge("sys.cpi");
-    reg.histogram("jvm.gc.pause");
-    reg.series("sys.heap", 1000);
-    EXPECT_EQ(reg.size(), 4u);
-}
-
-TEST(MetricRegistry, NameCollisionAcrossKindsIsFatal)
-{
-    MetricRegistry reg;
-    reg.counter("mem.misses");
-    EXPECT_EXIT(reg.gauge("mem.misses"),
-                ::testing::ExitedWithCode(1), "mem.misses");
-}
-
-TEST(MetricRegistry, HandlesSurviveRegistryGrowth)
-{
-    MetricRegistry reg;
-    Counter &first = reg.counter("c.0");
-    for (int i = 1; i < 200; ++i)
-        reg.counter("c." + std::to_string(i));
-    ++first;
-    EXPECT_EQ(reg.counter("c.0").value(), 1u);
-}
-
-TEST(MetricRegistry, SnapshotFreezesAllKinds)
-{
-    MetricRegistry reg;
-    reg.counter("a.count").inc(7);
-    reg.gauge("a.level").set(2.5);
-    reg.histogram("a.dist").add(4);
-    reg.series("a.wave", 500).push(1.0);
-    reg.journal().record(42, "phase", "warm");
-
-    const MetricSnapshot snap = reg.snapshot();
-    EXPECT_EQ(snap.counters.at("a.count"), 7u);
-    EXPECT_EQ(snap.gauges.at("a.level"), 2.5);
-    EXPECT_EQ(snap.histograms.at("a.dist").count, 1u);
-    EXPECT_EQ(snap.series.at("a.wave").period, 500);
-    ASSERT_EQ(snap.events.size(), 1u);
-    EXPECT_EQ(snap.events[0].type, "phase");
-
-    reg.reset();
-    const MetricSnapshot zero = reg.snapshot();
-    EXPECT_EQ(zero.counters.at("a.count"), 0u);
-    EXPECT_EQ(zero.gauges.at("a.level"), 0.0);
-    EXPECT_EQ(zero.histograms.at("a.dist").count, 0u);
-    EXPECT_TRUE(zero.series.at("a.wave").values.empty());
-    EXPECT_TRUE(zero.events.empty());
-}
-
 TEST(MetricSnapshot, MergeSumsAndConcatenates)
 {
-    MetricRegistry a;
-    a.counter("n").inc(3);
-    a.gauge("g").set(1.5);
-    a.histogram("h").add(2);
-    a.series("s", 100).push(1.0);
-    a.journal().record(1, "e", "a");
+    MetricSnapshot m;
+    m.counters["n"] = 3;
+    m.gauges["g"] = 1.5;
+    m.histograms["h"] = histogramOf({2});
+    m.series["s"] = {100, {1.0}};
+    m.events.push_back({1, "e", "a"});
 
-    MetricRegistry b;
-    b.counter("n").inc(4);
-    b.counter("only_b").inc(9);
-    b.gauge("g").set(2.5);
-    b.histogram("h").add(70); // longer bucket vector than a's
-    b.series("s", 100).push(2.0);
-    b.series("s", 100).push(3.0);
-    b.journal().record(2, "e", "b");
+    MetricSnapshot b;
+    b.counters["n"] = 4;
+    b.counters["only_b"] = 9;
+    b.gauges["g"] = 2.5;
+    b.histograms["h"] = histogramOf({70}); // longer bucket vector
+    b.series["s"] = {100, {2.0, 3.0}};
+    b.events.push_back({2, "e", "b"});
 
-    MetricSnapshot m = a.snapshot();
-    m.merge(b.snapshot());
+    m.merge(b);
 
     EXPECT_EQ(m.counters.at("n"), 7u);
     EXPECT_EQ(m.counters.at("only_b"), 9u);
@@ -209,17 +135,17 @@ TEST(MetricSnapshot, MergeSumsAndConcatenates)
 
 TEST(MetricSnapshot, MergeIsOrderIndependentForNumerics)
 {
-    MetricRegistry a;
-    a.counter("n").inc(3);
-    a.histogram("h").add(5);
-    MetricRegistry b;
-    b.counter("n").inc(11);
-    b.histogram("h").add(900);
+    MetricSnapshot a;
+    a.counters["n"] = 3;
+    a.histograms["h"] = histogramOf({5});
+    MetricSnapshot b;
+    b.counters["n"] = 11;
+    b.histograms["h"] = histogramOf({900});
 
-    MetricSnapshot ab = a.snapshot();
-    ab.merge(b.snapshot());
-    MetricSnapshot ba = b.snapshot();
-    ba.merge(a.snapshot());
+    MetricSnapshot ab = a;
+    ab.merge(b);
+    MetricSnapshot ba = b;
+    ba.merge(a);
 
     EXPECT_EQ(ab.counters, ba.counters);
     EXPECT_EQ(ab.histograms.at("h").count, ba.histograms.at("h").count);
@@ -252,15 +178,15 @@ TEST(MetricsJson, FormatDoubleRoundTrips)
 TEST(MetricsJson, SerializationIsDeterministic)
 {
     auto build = [] {
-        MetricRegistry reg;
-        // Register in scrambled order; output must still be sorted.
-        reg.counter("z.last").inc(2);
-        reg.counter("a.first").inc(1);
-        reg.gauge("m.mid").set(0.125);
-        reg.histogram("h.dist").add(17);
-        reg.series("t.line", 250).push(3.5);
-        reg.journal().record(9, "evt", "x=\"1\"");
-        return reg.snapshot();
+        MetricSnapshot snap;
+        // Insert in scrambled order; output must still be sorted.
+        snap.counters["z.last"] = 2;
+        snap.counters["a.first"] = 1;
+        snap.gauges["m.mid"] = 0.125;
+        snap.histograms["h.dist"] = histogramOf({17});
+        snap.series["t.line"] = {250, {3.5}};
+        snap.events.push_back({9, "evt", "x=\"1\""});
+        return snap;
     };
     std::ostringstream s1, s2;
     build().writeJson(s1, 2);
@@ -270,4 +196,80 @@ TEST(MetricsJson, SerializationIsDeterministic)
     const std::string text = s1.str();
     EXPECT_LT(text.find("a.first"), text.find("z.last"));
     EXPECT_NE(text.find("\\\"1\\\""), std::string::npos);
+}
+
+namespace
+{
+
+/** Snapshot of a tiny SPECjbb run on the given machine. */
+MetricSnapshot
+tinyRunMetrics(middlesim::sim::CoherenceProtocol protocol,
+               unsigned numa_nodes, middlesim::sim::Topology topology,
+               unsigned occupancy)
+{
+    namespace core = middlesim::core;
+    core::ExperimentSpec spec;
+    spec.appCpus = 4;
+    spec.totalCpus = 4;
+    spec.protocol = protocol;
+    spec.numaNodes = numa_nodes;
+    spec.topology = topology;
+    spec.dirOccupancy = occupancy;
+    spec.warmup = 1'000'000;
+    spec.measure = 3'000'000;
+    spec.seed = 5;
+    core::BuiltWorkload workload;
+    auto system = core::buildSystem(spec, workload);
+    return *core::measure(*system, spec, workload).metrics;
+}
+
+bool
+hasCounterPrefix(const MetricSnapshot &snap, const std::string &prefix)
+{
+    const auto it = snap.counters.lower_bound(prefix);
+    return it != snap.counters.end() &&
+           it->first.compare(0, prefix.size(), prefix) == 0;
+}
+
+} // namespace
+
+TEST(Metrics, SnapshotNamesFollowTheMachine)
+{
+    using middlesim::sim::CoherenceProtocol;
+    using middlesim::sim::Topology;
+
+    const MetricSnapshot snoop =
+        tinyRunMetrics(CoherenceProtocol::SnoopBus, 1, Topology::Ring, 0);
+    EXPECT_FALSE(hasCounterPrefix(snoop, "mem.dir."));
+    EXPECT_FALSE(hasCounterPrefix(snoop, "mem.numa."));
+    // Families every machine reports.
+    EXPECT_GT(snoop.counters.count("mem.coherence.invalidations"), 0u);
+    EXPECT_GT(snoop.counters.count("os.sched.migrations"), 0u);
+    EXPECT_GT(snoop.counters.count("jvm.alloc.bytes"), 0u);
+    EXPECT_GT(snoop.counters.at("cpu.app.instructions"), 0u);
+    EXPECT_GT(snoop.histograms.count("jvm.gc.pause_kcycles"), 0u);
+    EXPECT_GT(snoop.series.count("sys.heap.old_used_mb"), 0u);
+
+    const MetricSnapshot ring = tinyRunMetrics(
+        CoherenceProtocol::DirectoryMesi, 2, Topology::Ring, 0);
+    EXPECT_GT(ring.counters.at("mem.dir.get_s"), 0u);
+    EXPECT_GT(ring.counters.count("mem.numa.hops"), 0u);
+    EXPECT_EQ(ring.counters.count("mem.dir.nacks"), 0u);
+    EXPECT_FALSE(hasCounterPrefix(ring, "mem.numa.mesh."));
+    EXPECT_FALSE(hasCounterPrefix(ring, "mem.dir.lat."));
+    EXPECT_FALSE(hasCounterPrefix(ring, "mem.numa.link."));
+
+    const MetricSnapshot mesh = tinyRunMetrics(
+        CoherenceProtocol::DirectoryMesi, 4, Topology::Mesh, 2);
+    EXPECT_GT(mesh.counters.at("mem.dir.get_s"), 0u);
+    EXPECT_GT(mesh.counters.count("mem.dir.nacks"), 0u);
+    EXPECT_GT(mesh.counters.count("mem.dir.livelock_breaks"), 0u);
+    EXPECT_GT(mesh.counters.at("mem.numa.mesh.x_hops") +
+                  mesh.counters.at("mem.numa.mesh.y_hops"),
+              0u);
+    EXPECT_GT(mesh.counters.at("mem.numa.link.busy_cycles"), 0u);
+    std::uint64_t lat_total = 0;
+    for (const char *name : middlesim::mem::kDirLatBucketNames)
+        lat_total += mesh.counters.at(name);
+    EXPECT_GT(lat_total, 0u);
 }

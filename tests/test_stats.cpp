@@ -8,7 +8,6 @@
 #include <sstream>
 
 #include "stats/distribution.hh"
-#include "stats/histogram.hh"
 #include "stats/series.hh"
 #include "stats/summary.hh"
 #include "stats/table.hh"
@@ -72,106 +71,6 @@ TEST(RunningStat, MergeIntoEmpty)
     a.merge(b);
     EXPECT_EQ(a.count(), 2u);
     EXPECT_DOUBLE_EQ(a.mean(), 1.5);
-}
-
-TEST(Histogram, BinsAndEdges)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(0.5);
-    h.add(5.5);
-    h.add(9.99);
-    EXPECT_EQ(h.binCount(0), 1u);
-    EXPECT_EQ(h.binCount(5), 1u);
-    EXPECT_EQ(h.binCount(9), 1u);
-    EXPECT_EQ(h.total(), 3u);
-    EXPECT_DOUBLE_EQ(h.binLo(5), 5.0);
-    EXPECT_DOUBLE_EQ(h.binHi(5), 6.0);
-}
-
-TEST(Histogram, OutOfRangeClamped)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(-5.0);
-    h.add(100.0);
-    EXPECT_EQ(h.binCount(0), 1u);
-    EXPECT_EQ(h.binCount(9), 1u);
-}
-
-TEST(Histogram, Quantile)
-{
-    Histogram h(0.0, 100.0, 100);
-    for (int i = 0; i < 100; ++i)
-        h.add(i + 0.5);
-    EXPECT_NEAR(h.quantile(0.5), 50.0, 1.5);
-    EXPECT_NEAR(h.quantile(0.9), 90.0, 1.5);
-}
-
-TEST(Histogram, WeightedAdd)
-{
-    Histogram h(0.0, 4.0, 4);
-    h.add(1.5, 10);
-    EXPECT_EQ(h.binCount(1), 10u);
-    EXPECT_EQ(h.total(), 10u);
-}
-
-TEST(Histogram, EmptyQuantileReturnsLowerBound)
-{
-    Histogram h(2.0, 10.0, 8);
-    EXPECT_DOUBLE_EQ(h.quantile(0.0), 2.0);
-    EXPECT_DOUBLE_EQ(h.quantile(0.5), 2.0);
-    EXPECT_DOUBLE_EQ(h.quantile(1.0), 2.0);
-}
-
-TEST(Histogram, SingleSampleQuantileIsItsBinCenter)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(7.3); // bin [7, 8), center 7.5
-    EXPECT_DOUBLE_EQ(h.quantile(0.01), 7.5);
-    EXPECT_DOUBLE_EQ(h.quantile(0.5), 7.5);
-    EXPECT_DOUBLE_EQ(h.quantile(1.0), 7.5);
-}
-
-TEST(Histogram, QuantileClampsOutOfRangeArgument)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(5.0);
-    EXPECT_DOUBLE_EQ(h.quantile(-3.0), h.quantile(0.0));
-    EXPECT_DOUBLE_EQ(h.quantile(7.0), h.quantile(1.0));
-}
-
-TEST(Log2Histogram, Buckets)
-{
-    Log2Histogram h;
-    h.add(0);
-    h.add(1);
-    h.add(2);
-    h.add(3);
-    h.add(4);
-    h.add(1024);
-    EXPECT_EQ(h.bucketCount(0), 2u); // 0 and 1
-    EXPECT_EQ(h.bucketCount(1), 2u); // 2 and 3
-    EXPECT_EQ(h.bucketCount(2), 1u); // 4
-    EXPECT_EQ(h.bucketCount(10), 1u); // 1024
-    EXPECT_EQ(h.total(), 6u);
-}
-
-TEST(Log2Histogram, EmptyAndUnknownBuckets)
-{
-    Log2Histogram h;
-    EXPECT_EQ(h.total(), 0u);
-    EXPECT_EQ(h.numBuckets(), 0u);
-    EXPECT_EQ(h.bucketCount(17), 0u); // out of range reads as zero
-}
-
-TEST(Log2Histogram, TopBucketHoldsLargestValues)
-{
-    Log2Histogram h;
-    h.add(~0ULL); // 2^64 - 1 -> bucket 63, the largest possible
-    EXPECT_EQ(h.numBuckets(), 64u);
-    EXPECT_EQ(h.bucketCount(63), 1u);
-    h.reset();
-    EXPECT_EQ(h.numBuckets(), 0u);
-    EXPECT_EQ(h.total(), 0u);
 }
 
 TEST(ConcentrationCurve, Shares)
